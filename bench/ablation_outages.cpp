@@ -1,7 +1,8 @@
 // Ablation A6: storage availability (paper §8: S3 targets 99.9% but "went
 // down twice in the first 7 months of 2008 ... the possible impact on the
 // applications can be significant").  Injects outage windows into the
-// user<->storage link and measures makespan/cost impact per data mode.
+// user<->storage link (faults.link) and measures makespan/cost impact per
+// data mode.
 #include "common.hpp"
 
 int main(int, char**) {
@@ -16,23 +17,25 @@ int main(int, char**) {
   for (engine::DataMode mode :
        {engine::DataMode::RemoteIO, engine::DataMode::Regular,
         engine::DataMode::DynamicCleanup}) {
+    // Row 0 is the outage-free baseline.
+    const double outageMinutes[] = {0.0, 10.0, 30.0, 60.0};
     double baseline = 0.0;
-    for (double outageMinutes : {0.0, 10.0, 30.0, 60.0}) {
+    for (std::size_t row = 0; row < std::size(outageMinutes); ++row) {
       engine::EngineConfig cfg;
       cfg.mode = mode;
       cfg.processors = 16;
-      if (outageMinutes > 0.0)
-        cfg.outages.push_back({5.0 * 60.0, outageMinutes * 60.0});
+      if (row > 0)
+        cfg.faults.link.outages.push_back(
+            {5.0 * 60.0, outageMinutes[row] * 60.0});
       const auto r = engine::simulateWorkflow(wf, cfg);
-      if (outageMinutes == 0.0) baseline = r.makespanSeconds;
+      if (row == 0) baseline = r.makespanSeconds;
       const auto cost = engine::computeCost(
           r, amazon, cloud::CpuBillingMode::Provisioned);
       char slowdown[32];
       std::snprintf(slowdown, sizeof slowdown, "+%.1f%%",
                     100.0 * (r.makespanSeconds - baseline) / baseline);
       t.addRow({engine::dataModeName(mode),
-                outageMinutes == 0.0 ? "none"
-                                     : formatDuration(outageMinutes * 60.0),
+                row == 0 ? "none" : formatDuration(outageMinutes[row] * 60.0),
                 formatDuration(r.makespanSeconds), slowdown,
                 analysis::moneyCell(cost.total())});
     }

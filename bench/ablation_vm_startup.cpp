@@ -15,20 +15,22 @@ int main(int, char**) {
       "overhead on every processor)");
   Table t({"procs", "overhead", "makespan", "total cost", "vs zero-overhead"});
   for (int procs : {1, 16, 128}) {
+    // Row 0 is the zero-overhead baseline.
+    const double overheadMinutes[] = {0.0, 2.0, 5.0, 15.0};
     Money base;
-    for (double overheadMin : {0.0, 2.0, 5.0, 15.0}) {
+    for (std::size_t row = 0; row < std::size(overheadMinutes); ++row) {
+      const double overheadMin = overheadMinutes[row];
       engine::EngineConfig cfg;
       cfg.vmStartupSeconds = overheadMin * 60.0 / 2.0;
       cfg.vmTeardownSeconds = overheadMin * 60.0 / 2.0;
       const auto pts = analysis::provisioningSweep(
           wf, amazon, {.processorCounts = {procs}, .base = cfg});
-      if (overheadMin == 0.0) base = pts[0].totalCost;
+      if (row == 0) base = pts[0].totalCost;
       char delta[32];
       std::snprintf(delta, sizeof delta, "+%.1f%%",
                     100.0 * (pts[0].totalCost - base).value() / base.value());
       t.addRow({std::to_string(procs),
-                overheadMin == 0.0 ? "none"
-                                   : formatDuration(overheadMin * 60.0),
+                row == 0 ? "none" : formatDuration(overheadMin * 60.0),
                 formatDuration(pts[0].makespanSeconds),
                 analysis::moneyCell(pts[0].totalCost), delta});
     }

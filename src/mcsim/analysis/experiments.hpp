@@ -12,8 +12,7 @@
 // mcsim::runner, so `jobs` worker threads and a merged telemetry `observer`
 // are available everywhere without another signature change.  `jobs == 0`
 // is the serial legacy code path; any jobs value produces byte-identical
-// points (see DESIGN.md "Concurrency model").  The old positional
-// signatures survive as [[deprecated]] inline wrappers.
+// points (see DESIGN.md "Concurrency model").
 #pragma once
 
 #include <vector>
@@ -76,20 +75,6 @@ std::vector<ProvisioningPoint> provisioningSweep(
     const dag::Workflow& wf, const cloud::Pricing& pricing,
     const ProvisioningSweepConfig& config = {});
 
-/// \deprecated Positional form; use the ProvisioningSweepConfig overload.
-[[deprecated("use provisioningSweep(wf, pricing, ProvisioningSweepConfig)")]]
-inline std::vector<ProvisioningPoint> provisioningSweep(
-    const dag::Workflow& wf, const std::vector<int>& processorCounts,
-    const cloud::Pricing& pricing, engine::EngineConfig base = {},
-    cloud::BillingGranularity granularity =
-        cloud::BillingGranularity::PerSecond) {
-  ProvisioningSweepConfig config;
-  config.processorCounts = processorCounts;
-  config.base = base;
-  config.granularity = granularity;
-  return provisioningSweep(wf, pricing, config);
-}
-
 /// One Question-2a row: metrics of a single data-management mode with
 /// resources billed by usage and enough processors for full parallelism.
 struct DataModeMetrics {
@@ -125,23 +110,9 @@ struct DataModeComparisonConfig {
 };
 
 /// Run all three modes (RemoteIO, Regular, DynamicCleanup, in that order).
-/// No default argument: a defaulted config would make 2-argument calls
-/// ambiguous against the deprecated positional overload below.
 std::vector<DataModeMetrics> dataModeComparison(
     const dag::Workflow& wf, const cloud::Pricing& pricing,
-    const DataModeComparisonConfig& config);
-
-/// \deprecated Positional form; use the DataModeComparisonConfig overload.
-[[deprecated(
-    "use dataModeComparison(wf, pricing, DataModeComparisonConfig)")]]
-inline std::vector<DataModeMetrics> dataModeComparison(
-    const dag::Workflow& wf, const cloud::Pricing& pricing,
-    engine::EngineConfig base = {}, int processorOverride = 0) {
-  DataModeComparisonConfig config;
-  config.base = base;
-  config.processorOverride = processorOverride;
-  return dataModeComparison(wf, pricing, config);
-}
+    const DataModeComparisonConfig& config = {});
 
 /// One Fig-11 point: the 1-degree workflow rescaled to `ccr`, run on a
 /// fixed provisioned processor count (the paper uses 8).
@@ -172,19 +143,5 @@ struct CcrSweepConfig {
 std::vector<CcrPoint> ccrSweep(const dag::Workflow& wf,
                                const cloud::Pricing& pricing,
                                const CcrSweepConfig& config);
-
-/// \deprecated Positional form; use the CcrSweepConfig overload.
-[[deprecated("use ccrSweep(wf, pricing, CcrSweepConfig)")]]
-inline std::vector<CcrPoint> ccrSweep(const dag::Workflow& wf,
-                                      const std::vector<double>& ccrTargets,
-                                      int processors,
-                                      const cloud::Pricing& pricing,
-                                      engine::EngineConfig base = {}) {
-  CcrSweepConfig config;
-  config.ccrTargets = ccrTargets;
-  config.processors = processors;
-  config.base = base;
-  return ccrSweep(wf, pricing, config);
-}
 
 }  // namespace mcsim::analysis

@@ -6,7 +6,6 @@
 
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mcsim/analysis/experiments.hpp"
@@ -40,20 +39,6 @@ Recommendation recommendProvisioning(const dag::Workflow& wf,
                                      const cloud::Pricing& pricing,
                                      const PlannerGoal& goal,
                                      const ProvisioningSweepConfig& sweep = {});
-
-/// \deprecated Positional form; use the ProvisioningSweepConfig overload.
-[[deprecated(
-    "pass counts/base via ProvisioningSweepConfig to recommendProvisioning")]]
-inline Recommendation recommendProvisioning(const dag::Workflow& wf,
-                                            const cloud::Pricing& pricing,
-                                            const PlannerGoal& goal,
-                                            std::vector<int> processorCounts,
-                                            engine::EngineConfig base = {}) {
-  ProvisioningSweepConfig sweep;
-  sweep.processorCounts = std::move(processorCounts);
-  sweep.base = base;
-  return recommendProvisioning(wf, pricing, goal, sweep);
-}
 
 /// The non-dominated subset of a sweep: keep a point unless another is both
 /// cheaper and faster.

@@ -93,16 +93,6 @@ std::vector<ReliabilityPoint> reliabilitySweep(
     const dag::Workflow& wf, const cloud::Pricing& pricing,
     const ReliabilityConfig& config);
 
-/// \deprecated Positional base; set ReliabilityConfig::base instead.
-[[deprecated("set ReliabilityConfig::base instead of passing it alongside")]]
-inline std::vector<ReliabilityPoint> reliabilitySweep(
-    const dag::Workflow& wf, const cloud::Pricing& pricing,
-    const ReliabilityConfig& config, engine::EngineConfig base) {
-  ReliabilityConfig merged = config;
-  merged.base = base;
-  return reliabilitySweep(wf, pricing, merged);
-}
-
 Table reliabilityTable(const std::vector<ReliabilityPoint>& points);
 
 }  // namespace mcsim::analysis

@@ -89,7 +89,6 @@ class Workflow {
   bool finalized() const { return finalized_; }
 
   // -- size mutation (allowed post-finalize) --------------------------------
-  void setFileSize(FileId file, Bytes size);
   /// Multiply every file size by `factor` (> 0) — the paper's CCR knob.
   void scaleAllFileSizes(double factor);
   /// Multiply every task runtime by `factor` (> 0) — used by workload

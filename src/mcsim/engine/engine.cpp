@@ -26,14 +26,10 @@ using dag::FileId;
 using dag::TaskId;
 using dag::Workflow;
 
-/// The engine-side fault configuration: the user's FaultConfig with the
-/// deprecated EngineConfig coin-flip fields folded into `legacy`.
+/// The engine-side fault configuration: the user's FaultConfig with its
+/// outage windows merged and sorted.
 faults::FaultConfig effectiveFaults(const EngineConfig& cfg) {
   faults::FaultConfig fc = cfg.faults;
-  if (cfg.taskFailureProbability > 0.0) {
-    fc.legacy.probability = cfg.taskFailureProbability;
-    fc.legacy.seed = cfg.failureSeed;
-  }
   fc.link.outages = faults::normalizeOutages(fc.link.outages);
   fc.storage.outages = faults::normalizeOutages(fc.storage.outages);
   return fc;
@@ -97,9 +93,6 @@ class Run {
       throw std::invalid_argument("simulateWorkflow: negative VM overhead");
     if (cfg.storageCapacityBytes < 0.0)
       throw std::invalid_argument("simulateWorkflow: negative storage capacity");
-    if (cfg.taskFailureProbability < 0.0 || cfg.taskFailureProbability >= 1.0)
-      throw std::invalid_argument(
-          "simulateWorkflow: task failure probability must be in [0, 1)");
     if (cfg.samplePeriodSeconds < 0.0)
       throw std::invalid_argument("simulateWorkflow: negative sample period");
     cfg.faults.validate();
@@ -195,9 +188,8 @@ class Run {
     tasksRemaining_ = nTasks;
   }
 
-  /// Overlapping windows (legacy outages, fault-model link windows and
-  /// storage windows all stall the shared link) are refcounted: the link
-  /// resumes only when the last window ends.
+  /// Overlapping windows (link and storage windows both stall the shared
+  /// link) are refcounted: the link resumes only when the last window ends.
   void suspendLink() {
     if (linkSuspends_++ == 0) link_.suspend();
   }
@@ -206,13 +198,6 @@ class Run {
   }
 
   void scheduleOutages() {
-    for (const Outage& o : cfg_.outages) {
-      if (o.startSeconds < 0.0 || o.durationSeconds < 0.0)
-        throw std::invalid_argument("simulateWorkflow: negative outage bounds");
-      sim_.schedule(o.startSeconds, [this] { suspendLink(); });
-      sim_.schedule(o.startSeconds + o.durationSeconds,
-                    [this] { resumeLink(); });
-    }
     for (const faults::OutageWindow& w : fcfg_.link.outages) {
       sim_.schedule(w.startSeconds, [this] { suspendLink(); });
       sim_.schedule(w.endSeconds(), [this] { resumeLink(); });
@@ -561,11 +546,10 @@ class Run {
     registerAttempt(id, &Run::finishRegular);
   }
 
-  /// Legacy failure injection (the deprecated taskFailureProbability shim,
-  /// routed through faults::FaultInjector): true if this completion attempt
-  /// fails and the task re-executes immediately on the same processor — full
-  /// runtime billed, no retry budget, no re-staging, draw order identical to
-  /// the pre-faults engine.
+  /// Legacy failure injection (faults::FaultConfig::legacy, the paper §8
+  /// coin flip): true if this completion attempt fails and the task
+  /// re-executes immediately on the same processor — full runtime billed,
+  /// no retry budget, no re-staging.
   bool attemptFails(TaskId id, void (Run::*retry)(TaskId)) {
     const dag::Task& t = wf_.task(id);
     if (!injector_ || !injector_->legacyAttemptFails()) return false;

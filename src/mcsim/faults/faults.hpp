@@ -25,9 +25,8 @@
 //
 // Everything is seeded through the portable Rng so runs are bit-reproducible:
 // the same FaultConfig and workflow always produce byte-identical event
-// streams.  The legacy EngineConfig::taskFailureProbability end-of-attempt
-// coin flip lives on as LegacyCoinFlip, drawn from its own Rng stream in the
-// old draw order, so pre-existing configurations reproduce exactly.
+// streams.  The paper §8 end-of-attempt coin flip is LegacyCoinFlip, drawn
+// from its own Rng stream so enabling other models never shifts its draws.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +82,8 @@ struct ProcessorFaults {
   double mtbfSeconds = 0.0;
 };
 
-/// Link unavailability windows (in addition to EngineConfig::outages).
+/// Link unavailability windows: transfers in flight stop progressing during
+/// each window; running computations are unaffected.
 struct LinkFaults {
   std::vector<OutageWindow> outages;
 };
@@ -96,10 +96,10 @@ struct StorageFaults {
   std::vector<OutageWindow> outages;
 };
 
-/// The deprecated EngineConfig::taskFailureProbability semantics, preserved
-/// bit-for-bit: one Bernoulli draw per completion attempt (in completion
-/// order, from a dedicated Rng), immediate re-execution on the same
-/// processor, full runtime billed, no retry budget, no re-staging.
+/// The paper §8 transient-failure model: one Bernoulli draw per completion
+/// attempt (in completion order, from a dedicated Rng), immediate
+/// re-execution on the same processor, full runtime billed, no retry
+/// budget, no re-staging.
 struct LegacyCoinFlip {
   double probability = 0.0;  ///< In [0, 1).
   std::uint64_t seed = 1;
@@ -171,7 +171,7 @@ class FaultInjector {
  private:
   FaultConfig config_;
   std::optional<Rng> faultRng_;   ///< Crash times and retry jitter.
-  std::optional<Rng> legacyRng_;  ///< The deprecated coin flip stream.
+  std::optional<Rng> legacyRng_;  ///< The coin flip stream.
   std::vector<int> retriesUsed_;  ///< Indexed lazily by task id.
 
   int& retriesSlot(std::uint32_t task);

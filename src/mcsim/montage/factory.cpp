@@ -10,10 +10,171 @@
 namespace mcsim::montage {
 namespace {
 
-std::string indexed(const std::string& stem, int i) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%05d", i);
-  return stem + "_" + buf;
+double baseCpuSeconds(const MontageParams& p) {
+  const double n = static_cast<double>(p.imageCount());
+  const double d = static_cast<double>(p.diffCount);
+  return n * (baseRuntimeSeconds(TaskType::mProject) +
+              baseRuntimeSeconds(TaskType::mBackground)) +
+         d * baseRuntimeSeconds(TaskType::mDiffFit) +
+         baseRuntimeSeconds(TaskType::mConcatFit) +
+         baseRuntimeSeconds(TaskType::mBgModel) +
+         baseRuntimeSeconds(TaskType::mImgtbl) +
+         baseRuntimeSeconds(TaskType::mAdd) +
+         baseRuntimeSeconds(TaskType::mShrink) +
+         baseRuntimeSeconds(TaskType::mJPEG);
+}
+
+/// Header + raws + (d fit files + fits/corrections/cimages tables) + mosaic
+/// + shrunk mosaic + preview: everything the CCR calibration does not size.
+double fixedBytes(const MontageParams& p) {
+  const double n = static_cast<double>(p.imageCount());
+  return p.headerBytes.value() + n * p.inputImageBytes.value() +
+         static_cast<double>(p.diffCount + 3) * p.textFileBytes.value() +
+         p.mosaicBytes.value() * (1.0 + p.shrinkFactor) + p.jpegBytes.value();
+}
+
+template <class Sink>
+void emit(Sink& sink, const MontageParams& p,
+          const std::vector<std::pair<int, int>>& pairs,
+          const Calibration& calib, const EmitOptions& options) {
+  using dag::FileId;
+  using dag::TaskId;
+
+  const std::size_t n = static_cast<std::size_t>(p.imageCount());
+  const std::string& prefix = options.prefix;
+  std::string buf;
+  auto plain = [&](const char* name) -> const std::string& {
+    buf.assign(prefix);
+    buf.append(name);
+    return buf;
+  };
+  auto indexed = [&](const char* stem, std::size_t i,
+                     const char* suffix) -> const std::string& {
+    char num[16];
+    std::snprintf(num, sizeof num, "_%05d", static_cast<int>(i));
+    buf.assign(prefix);
+    buf.append(stem);
+    buf.append(num);
+    buf.append(suffix);
+    return buf;
+  };
+  auto runtime = [&](TaskType type) {
+    return baseRuntimeSeconds(type) * calib.runtimeScale;
+  };
+
+  // -- files staged in from the archive -------------------------------------
+  const FileId header = sink.addFile(plain("region.hdr"), p.headerBytes);
+  const std::size_t shared = options.leftRaws ? options.sharedRaws : 0;
+  std::vector<FileId> raws(n);
+  for (std::size_t i = 0; i < n; ++i)
+    raws[i] = i < shared
+                  ? (*options.leftRaws)[options.leftRaws->size() - shared + i]
+                  : sink.addFile(indexed("2mass", i, ".fits"),
+                                 p.inputImageBytes);
+
+  // -- level 1: mProject ------------------------------------------------------
+  // Each reprojection emits the projected image plus its area (coverage)
+  // file: half of the intermediate images the CCR calibration sizes.
+  std::vector<FileId> projImages(n);
+  std::vector<FileId> projAreas(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TaskId t = sink.addTask(indexed("mProject", i, ""),
+                                  typeName(TaskType::mProject),
+                                  runtime(TaskType::mProject));
+    sink.addInput(t, raws[i]);
+    sink.addInput(t, header);
+    projImages[i] =
+        sink.addFile(indexed("proj", i, ".fits"), calib.intermediateBytes);
+    projAreas[i] = sink.addFile(indexed("proj", i, "_area.fits"),
+                                calib.intermediateBytes);
+    sink.addOutput(t, projImages[i]);
+    sink.addOutput(t, projAreas[i]);
+    if (options.releaseSeconds > 0.0)
+      sink.setEarliestStart(t, options.releaseSeconds);
+  }
+
+  // -- level 2: mDiffFit over overlapping pairs -------------------------------
+  std::vector<FileId> fitFiles(pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const TaskId t = sink.addTask(indexed("mDiffFit", k, ""),
+                                  typeName(TaskType::mDiffFit),
+                                  runtime(TaskType::mDiffFit));
+    sink.addInput(t, projImages[static_cast<std::size_t>(pairs[k].first)]);
+    sink.addInput(t, projImages[static_cast<std::size_t>(pairs[k].second)]);
+    fitFiles[k] = sink.addFile(indexed("fit", k, ".txt"), p.textFileBytes);
+    sink.addOutput(t, fitFiles[k]);
+  }
+
+  // -- level 3/4: mConcatFit, mBgModel ---------------------------------------
+  const TaskId concat =
+      sink.addTask(plain("mConcatFit"), typeName(TaskType::mConcatFit),
+                   runtime(TaskType::mConcatFit));
+  for (FileId f : fitFiles) sink.addInput(concat, f);
+  const FileId fitsTbl = sink.addFile(plain("fits.tbl"), p.textFileBytes);
+  sink.addOutput(concat, fitsTbl);
+
+  const TaskId bgModel =
+      sink.addTask(plain("mBgModel"), typeName(TaskType::mBgModel),
+                   runtime(TaskType::mBgModel));
+  sink.addInput(bgModel, fitsTbl);
+  const FileId corrections =
+      sink.addFile(plain("corrections.tbl"), p.textFileBytes);
+  sink.addOutput(bgModel, corrections);
+
+  // -- level 5: mBackground ----------------------------------------------------
+  std::vector<FileId> corrImages(n);
+  std::vector<FileId> corrAreas(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TaskId t = sink.addTask(indexed("mBackground", i, ""),
+                                  typeName(TaskType::mBackground),
+                                  runtime(TaskType::mBackground));
+    sink.addInput(t, projImages[i]);
+    sink.addInput(t, projAreas[i]);
+    sink.addInput(t, corrections);
+    corrImages[i] =
+        sink.addFile(indexed("corr", i, ".fits"), calib.intermediateBytes);
+    corrAreas[i] = sink.addFile(indexed("corr", i, "_area.fits"),
+                                calib.intermediateBytes);
+    sink.addOutput(t, corrImages[i]);
+    sink.addOutput(t, corrAreas[i]);
+  }
+
+  // -- level 6/7: mImgtbl, mAdd ------------------------------------------------
+  const TaskId imgtbl = sink.addTask(
+      plain("mImgtbl"), typeName(TaskType::mImgtbl), runtime(TaskType::mImgtbl));
+  for (std::size_t i = 0; i < n; ++i) sink.addInput(imgtbl, corrImages[i]);
+  const FileId imagesTbl = sink.addFile(plain("cimages.tbl"), p.textFileBytes);
+  sink.addOutput(imgtbl, imagesTbl);
+
+  const TaskId add = sink.addTask(plain("mAdd"), typeName(TaskType::mAdd),
+                                  runtime(TaskType::mAdd));
+  for (std::size_t i = 0; i < n; ++i) {
+    sink.addInput(add, corrImages[i]);
+    sink.addInput(add, corrAreas[i]);
+  }
+  sink.addInput(add, imagesTbl);
+  sink.addInput(add, header);
+  const FileId mosaic = sink.addFile(plain("mosaic.fits"), p.mosaicBytes);
+  sink.addOutput(add, mosaic);
+  // The full-resolution mosaic is the user's product even though mShrink
+  // also reads it.
+  sink.markExplicitOutput(mosaic);
+
+  // -- level 8/9: mShrink, mJPEG ----------------------------------------------
+  const TaskId shrink = sink.addTask(
+      plain("mShrink"), typeName(TaskType::mShrink), runtime(TaskType::mShrink));
+  sink.addInput(shrink, mosaic);
+  const FileId shrunk = sink.addFile(plain("mosaic_small.fits"),
+                                     p.mosaicBytes * p.shrinkFactor);
+  sink.addOutput(shrink, shrunk);
+
+  const TaskId jpeg = sink.addTask(plain("mJPEG"), typeName(TaskType::mJPEG),
+                                   runtime(TaskType::mJPEG));
+  sink.addInput(jpeg, shrunk);
+  const FileId preview = sink.addFile(plain("mosaic.jpg"), p.jpegBytes);
+  sink.addOutput(jpeg, preview);
+
+  if (options.rawsOut) *options.rawsOut = std::move(raws);
 }
 
 }  // namespace
@@ -117,6 +278,37 @@ MontageParams paramsForDegrees(double degrees) {
   return p;
 }
 
+Calibration calibrate(const MontageParams& p, double cpuFactor,
+                      std::string* error) {
+  Calibration calib;
+  const double targetCpu = p.targetCpuSeconds * cpuFactor;
+  calib.runtimeScale = targetCpu / baseCpuSeconds(p);
+  const double targetTotalBytes =
+      p.targetCcr * p.referenceBandwidthBytesPerSec * targetCpu;
+  const double needed = targetTotalBytes - fixedBytes(p);
+  if (!(needed > 0.0)) {
+    *error =
+        "CCR calibration infeasible: the target data volume does not cover "
+        "the fixed files (mosaic too small or CPU target too low)";
+    return calib;
+  }
+  calib.intermediateBytes =
+      Bytes(needed / (4.0 * static_cast<double>(p.imageCount())));
+  return calib;
+}
+
+void emitMontage(dag::Workflow& sink, const MontageParams& params,
+                 const std::vector<std::pair<int, int>>& pairs,
+                 const Calibration& calib, const EmitOptions& options) {
+  emit(sink, params, pairs, calib, options);
+}
+
+void emitMontage(dag::WorkflowBuilder& sink, const MontageParams& params,
+                 const std::vector<std::pair<int, int>>& pairs,
+                 const Calibration& calib, const EmitOptions& options) {
+  emit(sink, params, pairs, calib, options);
+}
+
 dag::Workflow buildMontageWorkflow(const MontageParams& p) {
   if (p.gridCols < 2 || p.gridRows < 2)
     throw std::invalid_argument("montage: grid must be at least 2x2");
@@ -127,157 +319,16 @@ dag::Workflow buildMontageWorkflow(const MontageParams& p) {
   if (!(p.targetCcr > 0.0))
     throw std::invalid_argument("montage: targetCcr must be positive");
 
-  const int n = p.imageCount();
-  dag::Workflow wf(p.name);
-
-  // -- files staged in from the archive -------------------------------------
-  const dag::FileId header = wf.addFile("region.hdr", p.headerBytes);
-  std::vector<dag::FileId> rawImages(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    rawImages[static_cast<std::size_t>(i)] =
-        wf.addFile(indexed("2mass", i) + ".fits", p.inputImageBytes);
-
-  // -- level 1: mProject ------------------------------------------------------
-  // Each reprojection emits the projected image plus its area (coverage)
-  // file; these are the "intermediate image" population whose size the CCR
-  // calibration scales.
-  std::vector<dag::TaskId> projectTasks(static_cast<std::size_t>(n));
-  std::vector<dag::FileId> projImages(static_cast<std::size_t>(n));
-  std::vector<dag::FileId> projAreas(static_cast<std::size_t>(n));
-  std::vector<dag::FileId> intermediates;  // all CCR-scalable files
-  for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const dag::TaskId t =
-        wf.addTask(indexed("mProject", i), typeName(TaskType::mProject),
-                   baseRuntimeSeconds(TaskType::mProject));
-    wf.addInput(t, rawImages[idx]);
-    wf.addInput(t, header);
-    projImages[idx] = wf.addFile(indexed("proj", i) + ".fits",
-                                 p.baseIntermediateBytes);
-    projAreas[idx] = wf.addFile(indexed("proj", i) + "_area.fits",
-                                p.baseIntermediateBytes);
-    wf.addOutput(t, projImages[idx]);
-    wf.addOutput(t, projAreas[idx]);
-    intermediates.push_back(projImages[idx]);
-    intermediates.push_back(projAreas[idx]);
-    projectTasks[idx] = t;
-  }
-
-  // -- level 2: mDiffFit over overlapping pairs -------------------------------
   const auto pairs = overlapPairs(p.gridCols, p.gridRows, p.diffCount);
-  std::vector<dag::FileId> fitFiles;
-  fitFiles.reserve(pairs.size());
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    const dag::TaskId t = wf.addTask(indexed("mDiffFit", static_cast<int>(k)),
-                                     typeName(TaskType::mDiffFit),
-                                     baseRuntimeSeconds(TaskType::mDiffFit));
-    wf.addInput(t, projImages[static_cast<std::size_t>(pairs[k].first)]);
-    wf.addInput(t, projImages[static_cast<std::size_t>(pairs[k].second)]);
-    const dag::FileId fit = wf.addFile(
-        indexed("fit", static_cast<int>(k)) + ".txt", p.textFileBytes);
-    wf.addOutput(t, fit);
-    fitFiles.push_back(fit);
-  }
+  std::string error;
+  const Calibration calib = calibrate(p, 1.0, &error);
+  if (!error.empty()) throw std::invalid_argument("montage: " + error);
 
-  // -- level 3/4: mConcatFit, mBgModel ---------------------------------------
-  const dag::TaskId concat =
-      wf.addTask("mConcatFit", typeName(TaskType::mConcatFit),
-                 baseRuntimeSeconds(TaskType::mConcatFit));
-  for (dag::FileId f : fitFiles) wf.addInput(concat, f);
-  const dag::FileId fitsTbl = wf.addFile("fits.tbl", p.textFileBytes);
-  wf.addOutput(concat, fitsTbl);
-
-  const dag::TaskId bgModel =
-      wf.addTask("mBgModel", typeName(TaskType::mBgModel),
-                 baseRuntimeSeconds(TaskType::mBgModel));
-  wf.addInput(bgModel, fitsTbl);
-  const dag::FileId corrections = wf.addFile("corrections.tbl", p.textFileBytes);
-  wf.addOutput(bgModel, corrections);
-
-  // -- level 5: mBackground ----------------------------------------------------
-  std::vector<dag::FileId> corrImages(static_cast<std::size_t>(n));
-  std::vector<dag::FileId> corrAreas(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const dag::TaskId t =
-        wf.addTask(indexed("mBackground", i), typeName(TaskType::mBackground),
-                   baseRuntimeSeconds(TaskType::mBackground));
-    wf.addInput(t, projImages[idx]);
-    wf.addInput(t, projAreas[idx]);
-    wf.addInput(t, corrections);
-    corrImages[idx] = wf.addFile(indexed("corr", i) + ".fits",
-                                 p.baseIntermediateBytes);
-    corrAreas[idx] = wf.addFile(indexed("corr", i) + "_area.fits",
-                                p.baseIntermediateBytes);
-    wf.addOutput(t, corrImages[idx]);
-    wf.addOutput(t, corrAreas[idx]);
-    intermediates.push_back(corrImages[idx]);
-    intermediates.push_back(corrAreas[idx]);
-  }
-
-  // -- level 6/7: mImgtbl, mAdd ------------------------------------------------
-  const dag::TaskId imgtbl = wf.addTask("mImgtbl", typeName(TaskType::mImgtbl),
-                                        baseRuntimeSeconds(TaskType::mImgtbl));
-  for (int i = 0; i < n; ++i)
-    wf.addInput(imgtbl, corrImages[static_cast<std::size_t>(i)]);
-  const dag::FileId imagesTbl = wf.addFile("cimages.tbl", p.textFileBytes);
-  wf.addOutput(imgtbl, imagesTbl);
-
-  const dag::TaskId add = wf.addTask("mAdd", typeName(TaskType::mAdd),
-                                     baseRuntimeSeconds(TaskType::mAdd));
-  for (int i = 0; i < n; ++i) {
-    wf.addInput(add, corrImages[static_cast<std::size_t>(i)]);
-    wf.addInput(add, corrAreas[static_cast<std::size_t>(i)]);
-  }
-  wf.addInput(add, imagesTbl);
-  wf.addInput(add, header);
-  const dag::FileId mosaic = wf.addFile("mosaic.fits", p.mosaicBytes);
-  wf.addOutput(add, mosaic);
-  // The full-resolution mosaic is the user's product even though mShrink
-  // also reads it.
-  wf.markExplicitOutput(mosaic);
-
-  // -- level 8/9: mShrink, mJPEG ----------------------------------------------
-  const dag::TaskId shrink = wf.addTask("mShrink", typeName(TaskType::mShrink),
-                                        baseRuntimeSeconds(TaskType::mShrink));
-  wf.addInput(shrink, mosaic);
-  const dag::FileId shrunk =
-      wf.addFile("mosaic_small.fits", p.mosaicBytes * p.shrinkFactor);
-  wf.addOutput(shrink, shrunk);
-
-  const dag::TaskId jpeg = wf.addTask("mJPEG", typeName(TaskType::mJPEG),
-                                      baseRuntimeSeconds(TaskType::mJPEG));
-  wf.addInput(jpeg, shrunk);
-  const dag::FileId preview = wf.addFile("mosaic.jpg", p.jpegBytes);
-  wf.addOutput(jpeg, preview);
-
+  dag::Workflow wf(p.name);
+  wf.reserve(static_cast<std::size_t>(p.taskCount()),
+             static_cast<std::size_t>(p.fileCount()));
+  emitMontage(wf, p, pairs, calib);
   wf.finalize();
-
-  if (static_cast<int>(wf.taskCount()) != p.taskCount())
-    throw std::logic_error("montage: task count mismatch (builder bug)");
-
-  // -- calibration: runtimes ---------------------------------------------------
-  // (Runtime scaling must precede CCR scaling: CCR's denominator is Σ r.)
-  wf.scaleAllRuntimes(p.targetCpuSeconds / wf.totalRuntimeSeconds());
-
-  // -- calibration: CCR ---------------------------------------------------------
-  // Fixed bytes (inputs, products, metadata) stay put; intermediate images
-  // are scaled so total bytes = targetCcr * B * Σ r.
-  {
-    const double targetTotalBytes =
-        p.targetCcr * p.referenceBandwidthBytesPerSec * p.targetCpuSeconds;
-    double intermediateBytes = 0.0;
-    for (dag::FileId f : intermediates) intermediateBytes += wf.file(f).size.value();
-    const double fixedBytes = wf.totalFileBytes().value() - intermediateBytes;
-    const double needed = targetTotalBytes - fixedBytes;
-    if (needed <= 0.0)
-      throw std::invalid_argument(
-          "montage: targetCcr too small for the fixed file population");
-    const double scale = needed / intermediateBytes;
-    for (dag::FileId f : intermediates)
-      wf.setFileSize(f, wf.file(f).size * scale);
-  }
-
   return wf;
 }
 

@@ -10,13 +10,17 @@
 //   * total CPU cost at $0.1/CPU-hour: $0.56 / $2.03 / $8.40, i.e. total
 //     runtimes of 5.6 h / 20.3 h / 84 h (a uniform runtime scale),
 //   * mosaic sizes: 173.46 MB / 557.9 MB / 2.229 GB (fixed),
-//   * CCR at 10 Mbps: 0.053 / 0.053 / 0.045 (a uniform scale over the
+//   * CCR at 10 Mbps: 0.053 / 0.053 / 0.045 (one size shared by the
 //     intermediate image files, with inputs and products held fixed).
 //
-// See DESIGN.md's substitution table for why matching these aggregates
-// preserves every result in the evaluation.
+// Both calibrations are closed-form (`calibrate`), so `emitMontage` writes
+// final runtimes and sizes in one pass.  It is the only Montage emitter:
+// buildMontageWorkflow and the survey campaign generator (workflows/survey)
+// both call it.  See DESIGN.md's substitution table for why matching these
+// aggregates preserves every result in the evaluation.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,9 +57,6 @@ struct MontageParams {
   double shrinkFactor = 0.01;
 
   // -- calibration targets ---------------------------------------------------
-  /// Pre-calibration size of each intermediate image (projected /
-  /// background-corrected FITS + area files); rescaled to meet targetCcr.
-  Bytes baseIntermediateBytes = Bytes::fromMB(8.0);
   double targetCpuSeconds = 5.6 * kSecondsPerHour;
   double targetCcr = 0.053;
   double referenceBandwidthBytesPerSec = kReferenceBandwidthBytesPerSec;
@@ -63,6 +64,9 @@ struct MontageParams {
   int imageCount() const { return gridCols * gridRows; }
   /// Total tasks this parameterization yields: 2n + m + 6.
   int taskCount() const { return 2 * imageCount() + diffCount + 6; }
+  /// Total files: header + n raws + 4n intermediates + m fits + 3 tables +
+  /// mosaic + shrunk mosaic + preview = 5n + m + 7.
+  int fileCount() const { return 5 * imageCount() + diffCount + 7; }
 };
 
 /// Presets matching the paper's three workflows exactly.
@@ -74,7 +78,8 @@ MontageParams montage4DegreeParams();
 /// presets (used for the 6-degree plates mentioned in Question 3).
 MontageParams paramsForDegrees(double degrees);
 
-/// Build and finalize the workflow.  Postconditions (tested):
+/// Build and finalize the workflow: emitMontage with calibrate(params, 1)
+/// into a workflow named params.name.  Postconditions (tested):
 ///   taskCount() tasks; Σ runtimes == targetCpuSeconds;
 ///   ccr(referenceBandwidth) == targetCcr; the mosaic file has mosaicBytes.
 /// Throws std::invalid_argument for inconsistent parameters (e.g. a CCR
@@ -87,9 +92,52 @@ dag::Workflow buildMontageWorkflow(double degrees);
 /// Deterministic overlapping-pair enumeration on the image grid: all
 /// right-neighbour pairs, then down, then the two diagonals — the order a
 /// plane sweep over the sky would discover overlaps.  Throws if the grid
-/// cannot supply `count` distinct adjacent pairs.  Shared with the survey
-/// campaign generator (workflows/survey), which emits the same per-tile
-/// structure through the streaming builder.
+/// cannot supply `count` distinct adjacent pairs.
 std::vector<std::pair<int, int>> overlapPairs(int cols, int rows, int count);
+
+/// Closed-form calibration of one mosaic: the uniform runtime scale that
+/// makes Σ runtimes = targetCpuSeconds * cpuFactor, and the size of each of
+/// the 4n intermediate images (projected and background-corrected images
+/// plus their area files) that makes total bytes = targetCcr * B * Σ
+/// runtimes with every other file held fixed.
+struct Calibration {
+  double runtimeScale = 1.0;
+  Bytes intermediateBytes;
+};
+
+/// Calibrate `params` with its CPU target scaled by `cpuFactor` (1 for a
+/// single mosaic; the survey's per-tile jitter otherwise).  `*error` is left
+/// empty on success and names the reason when the CCR target cannot cover
+/// the fixed files.
+Calibration calibrate(const MontageParams& params, double cpuFactor,
+                      std::string* error);
+
+/// How an emitted mosaic joins a survey campaign.  The defaults emit a
+/// standalone mosaic.
+struct EmitOptions {
+  /// Prepended to every task and file name.
+  std::string prefix;
+  /// The first `sharedRaws` raw images alias the last `sharedRaws` ids of
+  /// `*leftRaws` (the left neighbour's overlapping sky strip) instead of
+  /// adding fresh files.
+  const std::vector<dag::FileId>* leftRaws = nullptr;
+  std::size_t sharedRaws = 0;
+  /// Receives this mosaic's raw image ids, for the next tile.
+  std::vector<dag::FileId>* rawsOut = nullptr;
+  /// > 0: the mProject tasks may not start before this time.
+  double releaseSeconds = 0.0;
+};
+
+/// Emit one calibrated mosaic — params.taskCount() tasks and up to
+/// params.fileCount() files — stage by stage, in the streaming order
+/// dag::WorkflowBuilder requires (bindings on the newest task, producers
+/// before consumers).  `pairs` is overlapPairs(params.gridCols,
+/// params.gridRows, params.diffCount).  The sink is not finalized.
+void emitMontage(dag::Workflow& sink, const MontageParams& params,
+                 const std::vector<std::pair<int, int>>& pairs,
+                 const Calibration& calib, const EmitOptions& options = {});
+void emitMontage(dag::WorkflowBuilder& sink, const MontageParams& params,
+                 const std::vector<std::pair<int, int>>& pairs,
+                 const Calibration& calib, const EmitOptions& options = {});
 
 }  // namespace mcsim::montage

@@ -101,14 +101,7 @@ std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
   h.u8(static_cast<std::uint8_t>(config.scheduler));
   h.f64(config.vmStartupSeconds);
   h.f64(config.vmTeardownSeconds);
-  h.u64(config.outages.size());
-  for (const auto& w : config.outages) {
-    h.f64(w.startSeconds);
-    h.f64(w.durationSeconds);
-  }
   h.f64(config.storageCapacityBytes);
-  h.f64(config.taskFailureProbability);
-  h.u64(config.failureSeed);
   h.u8(config.trace ? 1 : 0);
   h.f64(config.samplePeriodSeconds);
   h.u8(config.profile ? 1 : 0);

@@ -71,13 +71,6 @@ class Link {
 
   Link(Simulator& sim, const LinkConfig& config);
 
-  [[deprecated("use Link(sim, LinkConfig{.bandwidthBytesPerSec = ...}) — "
-               "see DESIGN.md deprecation schedule")]]
-  Link(Simulator& sim, double bandwidthBytesPerSecond,
-       LinkSharing sharing = LinkSharing::FairShare)
-      : Link(sim, LinkConfig{bandwidthBytesPerSecond, sharing,
-                             LinkSchedule::Incremental}) {}
-
   /// Begin transferring `size` bytes; `onComplete` fires (as a simulator
   /// event) when the last byte arrives.  Zero-sized transfers complete at
   /// the current time (still asynchronously, preserving event ordering).

@@ -7,8 +7,10 @@
 // 10⁶–10⁷ tasks per campaign.  This generator composes `tiles` Montage
 // mosaics on a sky grid into one workflow:
 //
-//   * each tile is a full Montage DAG (montage::paramsForDegrees structure,
-//     calibrated to the paper's aggregates in closed form),
+//   * each tile is a full Montage DAG with montage::paramsForDegrees
+//     structure, written by montage::emitMontage — the emitter
+//     buildMontageWorkflow uses — so an unjittered tile is bit-identical to
+//     buildMontageWorkflow(tileDegrees) up to its name,
 //   * horizontally adjacent tiles share `overlapFraction` of their raw
 //     input images (the survey analog of the paper's overlapping plates —
 //     shared inputs are staged in once, not once per tile),
@@ -69,7 +71,7 @@ struct SurveyCounts {
   std::uint32_t cols = 0;  ///< Resolved grid width.
   std::uint32_t rows = 0;  ///< ceil(tiles / cols); last row may be partial.
   std::uint64_t tasksPerTile = 0;   ///< 2n + d + 6 (montage closed form).
-  std::uint64_t filesPerTile = 0;   ///< 5n + d + 6.
+  std::uint64_t filesPerTile = 0;   ///< 5n + d + 7.
   std::uint64_t sharedRawsPerEdge = 0;  ///< k = round(overlap * n).
   std::uint64_t sharedFiles = 0;    ///< k * (tiles with a left neighbour).
   std::uint64_t tasks = 0;          ///< tiles * tasksPerTile.

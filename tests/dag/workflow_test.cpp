@@ -135,7 +135,6 @@ TEST(Workflow, InvalidIdsRejected) {
   EXPECT_THROW(wf.addInput(99, x), std::out_of_range);
   EXPECT_THROW(wf.addOutput(99, x), std::out_of_range);
   EXPECT_THROW(wf.addControlDependency(t, 99), std::out_of_range);
-  EXPECT_THROW(wf.setFileSize(99, Bytes(1.0)), std::out_of_range);
   EXPECT_THROW(wf.markExplicitOutput(99), std::out_of_range);
 }
 
@@ -163,10 +162,8 @@ TEST(Workflow, FinalizeIsIdempotent) {
 
 TEST(Workflow, SizeScalingAllowedAfterFinalize) {
   auto fig = makeFigure3Workflow();
-  fig.wf.setFileSize(fig.a, Bytes::fromMB(10.0));
-  EXPECT_DOUBLE_EQ(fig.wf.file(fig.a).size.mb(), 10.0);
   fig.wf.scaleAllFileSizes(2.0);
-  EXPECT_DOUBLE_EQ(fig.wf.file(fig.a).size.mb(), 20.0);
+  EXPECT_DOUBLE_EQ(fig.wf.file(fig.a).size.mb(), 2.0);
   EXPECT_DOUBLE_EQ(fig.wf.file(fig.b).size.mb(), 2.0);
   EXPECT_THROW(fig.wf.scaleAllFileSizes(0.0), std::invalid_argument);
   EXPECT_THROW(fig.wf.scaleAllFileSizes(-1.0), std::invalid_argument);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <utility>
 
 #include "mcsim/dag/algorithms.hpp"
+#include "mcsim/runner/memo.hpp"
 
 namespace mcsim::montage {
 namespace {
@@ -157,6 +160,22 @@ TEST(MontageFactory, InvalidParamsRejected) {
 
   EXPECT_THROW(paramsForDegrees(0.0), std::invalid_argument);
   EXPECT_THROW(paramsForDegrees(-2.0), std::invalid_argument);
+}
+
+TEST(MontageFactory, FingerprintsPinnedAtEveryBuiltDegree) {
+  // fingerprintWorkflow hashes every name, edge, runtime and file size to
+  // the bit, so these pins catch any change to what the factory emits at
+  // the degrees the CLI, benches, examples and serve daemon build.
+  const std::pair<double, std::uint64_t> pins[] = {
+      {0.2, 0xbfd2608ab41ff962ull}, {0.4, 0x60ef9cdbb5e749f1ull},
+      {0.5, 0xddf14d68a077b51aull}, {1.0, 0x0345931cf2727368ull},
+      {2.0, 0xc820283e806bb5e7ull}, {4.0, 0x7e9cdab6e5ce4e95ull},
+      {6.0, 0x19485c006e812fe5ull},
+  };
+  for (const auto& [degrees, fingerprint] : pins)
+    EXPECT_EQ(runner::fingerprintWorkflow(buildMontageWorkflow(degrees)),
+              fingerprint)
+        << degrees << " degrees";
 }
 
 TEST(MontageFactory, ReferenceBandwidthIsTenMegabits) {

@@ -249,7 +249,7 @@ TEST(EngineEvents, ObservationDoesNotPerturbTheRun) {
       engine::EngineConfig cfg;
       cfg.processors = 3;
       cfg.mode = mode;
-      cfg.taskFailureProbability = 0.05;
+      cfg.faults.legacy.probability = 0.05;
       const auto bare = engine::simulateWorkflow(wf, cfg);
 
       NullSink null;

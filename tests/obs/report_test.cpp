@@ -133,7 +133,7 @@ TEST(RunReport, RetriesAreBilledToTheirTask) {
   engine::EngineConfig cfg;
   cfg.mode = engine::DataMode::Regular;
   cfg.processors = 4;
-  cfg.taskFailureProbability = 0.2;
+  cfg.faults.legacy.probability = 0.2;
   cfg.observer = &run.builder;
   run.result = engine::simulateWorkflow(wf, cfg);
   ASSERT_GT(run.result.taskRetries, 0u);

@@ -11,6 +11,7 @@
 
 #include "mcsim/dag/merge.hpp"
 #include "mcsim/engine/engine.hpp"
+#include "mcsim/montage/factory.hpp"
 #include "mcsim/workflows/survey.hpp"
 
 namespace mcsim::workflows {
@@ -115,8 +116,7 @@ TEST_P(SurveyDifferential, SimulationAgreesUnderFaultInjection) {
 
   engine::EngineConfig config;
   config.processors = 8;
-  config.taskFailureProbability = 0.05;
-  config.failureSeed = 11;
+  config.faults.legacy = {.probability = 0.05, .seed = 11};
   // Identical graphs draw identical fault streams, so the results must
   // agree to the same tolerance as the fault-free runs.
   expectSimEquivalent(streaming, reference, config);
@@ -138,6 +138,22 @@ TEST_P(SurveyDifferential, UniformCampaignSimulatesLikeReplicateWorkflow) {
   engine::EngineConfig config;
   config.processors = 16;
   expectSimEquivalent(streaming, replicated, config);
+}
+
+class SurveyTileVsFactory : public ::testing::TestWithParam<double> {};
+
+INSTANTIATE_TEST_SUITE_P(Degrees, SurveyTileVsFactory,
+                         ::testing::Values(1.0, 2.5, 4.0, 5.0));
+
+TEST_P(SurveyTileVsFactory, UnjitteredTileIsTheFactoryWorkflow) {
+  // Both paths go through montage::emitMontage with the same calibration,
+  // so structure, names, runtimes and sizes agree to the bit — also at
+  // degrees without a preset.
+  const double degrees = GetParam();
+  const dag::Workflow factory =
+      montage::buildMontageWorkflow(montage::paramsForDegrees(degrees));
+  const dag::Workflow tile = buildSurveyTile({.tileDegrees = degrees}, 0);
+  expectIdenticalGraphs(factory, tile);
 }
 
 TEST(SurveyDifferentialEdge, OverlapSharingRewiresConsumersAcrossTiles) {
