@@ -22,6 +22,7 @@
 
 #include "common.hpp"
 #include "mcsim/analysis/placement.hpp"
+#include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/memo.hpp"
 #include "mcsim/util/json.hpp"
 
@@ -90,7 +91,6 @@ int main(int argc, char** argv) {
   analysis::OptimizeConfig config;
   config.useSpot = true;
   config.sweepArchiveHosting = true;
-  config.jobs = jobs;
 
   double coldBest = 0.0;
   double warmBest = 0.0;
@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
   std::size_t simulations = 0;
   for (int r = 0; r < repeat; ++r) {
     runner::ScenarioMemoCache cache;
-    config.cache = &cache;
+    runner::JobQueue queue({.workers = jobs, .cache = &cache});
+    config.queue = &queue;
     t0 = Clock::now();
     const analysis::OptimizeResult cold =
         analysis::optimizePlacement(wf, catalog, config);
@@ -130,11 +131,12 @@ int main(int argc, char** argv) {
 
   // -- 3. identity vs dataModeComparison ------------------------------------
   bool identical = true;
+  runner::JobQueue pool({.workers = jobs});
   for (const char* provider :
        {"amazon-2008", "storage-heavy", "compute-discount"}) {
     analysis::OptimizeConfig one;
     one.providers = {provider};
-    one.jobs = jobs;
+    one.queue = &pool;
     const analysis::OptimizeResult result =
         analysis::optimizePlacement(wf, catalog, one);
     const auto rows = analysis::dataModeComparison(

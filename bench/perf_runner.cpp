@@ -1,15 +1,15 @@
 // perf_runner: wall-clock benchmark of the mcsim::runner thread pool.
 //
-// Runs the Question-1 provisioning sweep serially (--jobs 0, the legacy
-// code path) and through the runner's worker pool, checks the two point
-// sets are identical, and writes a BENCH_runner.json summary:
+// Runs the Question-1 provisioning sweep on the calling thread (no queue)
+// and on a JobQueue of --jobs workers, checks the two point sets are
+// identical, and writes a BENCH_runner.json summary:
 //
 //   ./bench/perf_runner [--degrees 1] [--jobs N] [--repeat 3]
 //                       [--ladder-repeat 4] [--out BENCH_runner.json]
 //
 // --ladder-repeat concatenates the processor ladder with itself to give the
-// pool enough scenarios to amortize thread startup; the best-of-N repeat
-// wall times keep machine noise out of the committed numbers.
+// pool enough scenarios per sweep; the best-of-N repeat wall times keep
+// machine noise out of the committed numbers.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -87,14 +87,15 @@ int main(int argc, char** argv) {
   std::vector<analysis::ProvisioningPoint> parallelPoints;
   double serialBest = 0.0;
   double parallelBest = 0.0;
+  runner::JobQueue pool({.workers = jobs});
   for (int r = 0; r < repeat; ++r) {
-    config.jobs = 0;
+    config.queue = nullptr;
     auto t0 = Clock::now();
     serialPoints = analysis::provisioningSweep(wf, pricing, config);
     const double serial = std::chrono::duration<double>(Clock::now() - t0)
                               .count();
 
-    config.jobs = jobs;
+    config.queue = &pool;
     t0 = Clock::now();
     parallelPoints = analysis::provisioningSweep(wf, pricing, config);
     const double parallel = std::chrono::duration<double>(Clock::now() - t0)

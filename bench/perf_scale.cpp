@@ -31,6 +31,7 @@
 #include "common.hpp"
 #include "mcsim/dag/merge.hpp"
 #include "mcsim/runner/campaign.hpp"
+#include "mcsim/runner/jobs.hpp"
 #include "mcsim/workflows/survey.hpp"
 
 namespace {
@@ -191,9 +192,9 @@ int main(int argc, char** argv) {
 
   runner::CampaignOptions serialOptions;
   serialOptions.engine = engineConfig;
-  serialOptions.jobs = 0;
+  runner::JobQueue pool({.workers = jobs});
   runner::CampaignOptions parallelOptions = serialOptions;
-  parallelOptions.jobs = jobs;
+  parallelOptions.queue = &pool;
 
   runner::CampaignResult serialCampaign, parallelCampaign;
   double serialBest = 0.0, parallelBest = 0.0;

@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "mcsim/dag/merge.hpp"
+#include "mcsim/obs/trace.hpp"
 #include "mcsim/util/rng.hpp"
 
 int main(int, char**) {
@@ -34,18 +35,22 @@ int main(int, char**) {
   Table table({"pool size", "mean response", "p95 response", "max response",
                "pool utilization"});
   for (int pool : {8, 16, 32, 64, 128}) {
+    obs::TraceStore store;
+    obs::SpanSink spans(store);
     engine::EngineConfig cfg;
     cfg.processors = pool;
     cfg.mode = engine::DataMode::DynamicCleanup;
-    cfg.trace = true;
+    cfg.observer = &spans;
     const auto r = engine::simulateWorkflow(stream, cfg);
+    const std::vector<obs::TaskTimes> times =
+        obs::taskTimes(store, stream.taskCount());
 
     std::vector<double> response;
     for (int i = 0; i < requestCount; ++i) {
       double finish = 0.0;
       for (dag::TaskId id = offsets[static_cast<std::size_t>(i)];
            id < offsets[static_cast<std::size_t>(i) + 1]; ++id)
-        finish = std::max(finish, r.taskRecords[id].finishTime);
+        finish = std::max(finish, times[id].finish);
       response.push_back(finish - releases[static_cast<std::size_t>(i)]);
     }
     std::sort(response.begin(), response.end());

@@ -14,18 +14,6 @@
 namespace mcsim::analysis {
 namespace {
 
-/// The shared scenario-batch shape of every figure driver: specs are listed
-/// in the exact order the old serial loops visited them, so a jobs==0 run
-/// is the legacy code path and any jobs>0 run merges to identical output.
-runner::RunnerOptions runnerOptions(int jobs, obs::Sink* observer,
-                                    runner::ScenarioMemoCache* cache) {
-  runner::RunnerOptions options;
-  options.jobs = jobs;
-  options.observer = observer;
-  options.cache = cache;
-  return options;
-}
-
 runner::ScenarioSpec makeSpec(const dag::Workflow& wf,
                               const engine::EngineConfig& base,
                               engine::DataMode mode, int processors,
@@ -63,7 +51,7 @@ std::vector<ProvisioningPoint> provisioningSweep(
   }
   const auto results = runner::runOnQueue(
       config.queue, specs,
-      runnerOptions(config.jobs, config.observer, config.cache));
+      {.jobs = 0, .observer = config.observer});
 
   std::vector<ProvisioningPoint> points;
   points.reserve(counts.size());
@@ -107,7 +95,7 @@ std::vector<DataModeMetrics> dataModeComparison(
   }
   const auto results = runner::runOnQueue(
       config.queue, specs,
-      runnerOptions(config.jobs, config.observer, config.cache));
+      {.jobs = 0, .observer = config.observer});
 
   std::vector<DataModeMetrics> rows;
   rows.reserve(results.size());
@@ -160,7 +148,7 @@ std::vector<CcrPoint> ccrSweep(const dag::Workflow& wf,
   }
   const auto results = runner::runOnQueue(
       config.queue, specs,
-      runnerOptions(config.jobs, config.observer, config.cache));
+      {.jobs = 0, .observer = config.observer});
 
   std::vector<CcrPoint> points;
   points.reserve(config.ccrTargets.size());

@@ -9,10 +9,10 @@
 //
 // Every sweep takes one designated-initializer-friendly config struct (the
 // shape ReliabilityConfig established) and runs its scenarios through
-// mcsim::runner, so `jobs` worker threads and a merged telemetry `observer`
-// are available everywhere without another signature change.  `jobs == 0`
-// is the serial legacy code path; any jobs value produces byte-identical
-// points (see DESIGN.md "Concurrency model").
+// mcsim::runner: on a borrowed JobQueue, which owns the worker threads and
+// the memo cache, or on the caller's thread without one.  Every worker
+// count produces byte-identical points, and a merged telemetry `observer`
+// sees the same stream (see DESIGN.md "Concurrency model").
 #pragma once
 
 #include <vector>
@@ -27,7 +27,6 @@ class Sink;
 
 namespace mcsim::runner {
 class JobQueue;
-class ScenarioMemoCache;
 }
 
 namespace mcsim::analysis {
@@ -56,17 +55,12 @@ struct ProvisioningSweepConfig {
   /// Every engine knob except mode and processors.
   engine::EngineConfig base;
   cloud::BillingGranularity granularity = cloud::BillingGranularity::PerSecond;
-  /// Runner worker threads; 0 = serial (the exact legacy code path).
-  int jobs = 0;
   /// Observes every scenario; streams merge deterministically in sweep
-  /// order regardless of jobs.  Borrowed; may be nullptr.
+  /// order regardless of the worker count.  Borrowed; may be nullptr.
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache (runner/memo.hpp): repeated points — the
-  /// paired cleanup runs at the same ladder rung, or whole re-sweeps from a
-  /// planner — are served without re-simulation.  Borrowed; may be nullptr.
-  runner::ScenarioMemoCache* cache = nullptr;
-  /// Run on this persistent JobQueue instead of a one-shot runner; its
-  /// workers and cache supersede `jobs`/`cache`.  Borrowed; may be nullptr.
+  /// Runs the scenarios on this queue's workers, serving repeated points
+  /// from its memo cache when it has one.  nullptr = the caller's thread,
+  /// uncached.  Borrowed.
   runner::JobQueue* queue = nullptr;
 };
 
@@ -100,12 +94,8 @@ struct DataModeComparisonConfig {
   /// > 0 forces a processor count; 0 = the workflow's max parallelism
   /// ("the requests can run at their full level of parallelism", §4 Q2).
   int processorOverride = 0;
-  /// Runner worker threads; 0 = serial (the exact legacy code path).
-  int jobs = 0;
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache; see ProvisioningSweepConfig::cache.
-  runner::ScenarioMemoCache* cache = nullptr;
-  /// Optional persistent JobQueue; see ProvisioningSweepConfig::queue.
+  /// See ProvisioningSweepConfig::queue.
   runner::JobQueue* queue = nullptr;
 };
 
@@ -131,12 +121,8 @@ struct CcrSweepConfig {
   int processors = 8;  ///< Provisioned count; the paper's compromise.
   /// Every engine knob except mode and processors.
   engine::EngineConfig base;
-  /// Runner worker threads; 0 = serial (the exact legacy code path).
-  int jobs = 0;
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache; see ProvisioningSweepConfig::cache.
-  runner::ScenarioMemoCache* cache = nullptr;
-  /// Optional persistent JobQueue; see ProvisioningSweepConfig::queue.
+  /// See ProvisioningSweepConfig::queue.
   runner::JobQueue* queue = nullptr;
 };
 

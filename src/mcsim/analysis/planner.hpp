@@ -34,7 +34,7 @@ struct Recommendation {
 /// `sweep.processorCounts` is empty) and pick the cheapest configuration
 /// that satisfies the goal; ties break toward the faster one.  When nothing
 /// satisfies the goal, `feasible` is false and `choice` is the point that
-/// comes closest to the deadline.  `sweep.jobs` parallelizes the ladder.
+/// comes closest to the deadline.  `sweep.queue` parallelizes the ladder.
 Recommendation recommendProvisioning(const dag::Workflow& wf,
                                      const cloud::Pricing& pricing,
                                      const PlannerGoal& goal,

@@ -28,7 +28,6 @@ class Sink;
 
 namespace mcsim::runner {
 class JobQueue;
-class ScenarioMemoCache;
 }
 
 namespace mcsim::analysis {
@@ -44,17 +43,13 @@ struct ReliabilityConfig {
   int processorOverride = 0;
   /// Every engine knob except mode, processors and faults.
   engine::EngineConfig base;
-  /// Runner worker threads; 0 = serial (the exact legacy code path).
-  int jobs = 0;
   /// Observes every scenario; streams merge deterministically in sweep
-  /// order regardless of jobs.  Borrowed; may be nullptr.
+  /// order regardless of the worker count.  Borrowed; may be nullptr.
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache (runner/memo.hpp): the per-mode fault-free
-  /// baselines repeat across reliability sweeps sharing a cache, so only
-  /// the faulty points re-simulate.  Borrowed; may be nullptr.
-  runner::ScenarioMemoCache* cache = nullptr;
-  /// Run on this persistent JobQueue instead of a one-shot runner; its
-  /// workers and cache supersede `jobs`/`cache`.  Borrowed; may be nullptr.
+  /// Runs the scenarios on this queue's workers.  With a memo cache on the
+  /// queue, the per-mode fault-free baselines repeat across reliability
+  /// sweeps, so only the faulty points re-simulate.  nullptr = the
+  /// caller's thread, uncached.  Borrowed.
   runner::JobQueue* queue = nullptr;
 };
 
@@ -87,8 +82,8 @@ struct ReliabilityPoint {
 /// Run the sweep: for each of the three modes (RemoteIO, Regular,
 /// DynamicCleanup, in that order), one fault-free baseline row followed by
 /// one row per MTBF in `config.mtbfSeconds`.  All knobs — including the
-/// base engine config, runner `jobs` and telemetry `observer` — live on
-/// the config struct.
+/// base engine config, the runner `queue` and telemetry `observer` — live
+/// on the config struct.
 std::vector<ReliabilityPoint> reliabilitySweep(
     const dag::Workflow& wf, const cloud::Pricing& pricing,
     const ReliabilityConfig& config);

@@ -12,7 +12,6 @@
 #include "mcsim/cloud/storage.hpp"
 #include "mcsim/dag/cleanup.hpp"
 #include "mcsim/dag/algorithms.hpp"
-#include "mcsim/engine/trace_export.hpp"
 #include "mcsim/obs/sampler.hpp"
 #include "mcsim/obs/selfprofile.hpp"
 #include "mcsim/obs/sink.hpp"
@@ -64,16 +63,7 @@ class Run {
         windows.emplace_back(w.startSeconds, w.endSeconds());
       storage_.setOutages(std::move(windows));
     }
-    // Tracing is an event consumer: cfg.trace installs an internal
-    // TimelineSink next to the user's observer.
-    if (cfg.trace) {
-      timeline_.emplace(wf.taskCount());
-      fan_.add(&*timeline_);
-      fan_.add(cfg.observer);  // add() ignores nullptr
-      obs_ = &fan_;
-    } else {
-      obs_ = cfg.observer;
-    }
+    obs_ = cfg.observer;
     sim_.setObserver(cfg.observer);
     link_.setObserver(cfg.observer);
     storage_.setObserver(cfg.observer);
@@ -142,7 +132,6 @@ class Run {
     result_.storageByteSeconds = storage_.curve().integralByteSeconds(endTime_);
     result_.peakStorageBytes = storage_.peakBytes();
     result_.storageCurve = storage_.curve();
-    if (timeline_) result_.taskRecords = timeline_->take();
     return result_;
   }
 
@@ -807,12 +796,7 @@ class Run {
   double busyIntegral_ = 0.0;
   double busyLast_ = 0.0;
 
-  /// Telemetry plumbing.  obs_ is what the engine emits to: the fan-out of
-  /// the internal timeline sink and the configured observer when tracing,
-  /// else the observer directly (nullptr = fully disabled).
-  obs::FanOutSink fan_;
-  std::optional<TimelineSink> timeline_;
-  obs::Sink* obs_ = nullptr;
+  obs::Sink* obs_ = nullptr;  ///< cfg.observer; nullptr = no telemetry.
   bool billed_ = false;
   std::optional<obs::PeriodicSampler> sampler_;
   struct StoredObject {

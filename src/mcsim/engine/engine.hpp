@@ -64,9 +64,6 @@ struct EngineConfig {
   /// Default-constructed = disabled: runs are bit-identical to a fault-free
   /// engine.
   faults::FaultConfig faults;
-  /// Record per-task timelines in ExecutionResult::taskRecords (implemented
-  /// as an internal obs::Sink consuming the task lifecycle events).
-  bool trace = false;
   /// Telemetry sink observing the run: the engine emits task lifecycle,
   /// staging, cleanup and billing-line-item events and installs the sink on
   /// its simulator, link and storage.  nullptr (default) disables all

@@ -12,10 +12,14 @@
 namespace mcsim::engine {
 namespace {
 
-void requireTrace(const ExecutionResult& result, const char* fn) {
-  if (result.taskRecords.empty())
+/// The per-task times of a non-empty trace.
+std::vector<obs::TaskTimes> tracedTimes(const dag::Workflow& wf,
+                                        const obs::TraceStore& trace,
+                                        const char* fn) {
+  if (trace.spanCount() == 0)
     throw std::invalid_argument(std::string(fn) +
-                                ": result was not traced (EngineConfig::trace)");
+                                ": the trace is empty (attach an obs::SpanSink)");
+  return obs::taskTimes(trace, wf.taskCount());
 }
 
 std::string fixed1(double v) {
@@ -27,8 +31,9 @@ std::string fixed1(double v) {
 }  // namespace
 
 void printLevelSummary(std::ostream& os, const dag::Workflow& wf,
-                       const ExecutionResult& result) {
-  requireTrace(result, "printLevelSummary");
+                       const obs::TraceStore& trace) {
+  const std::vector<obs::TaskTimes> times =
+      tracedTimes(wf, trace, "printLevelSummary");
   struct LevelStats {
     std::size_t tasks = 0;
     double firstStart = 1e300;
@@ -39,10 +44,10 @@ void printLevelSummary(std::ostream& os, const dag::Workflow& wf,
   std::map<int, LevelStats> levels;
   for (const dag::Task& t : wf.tasks()) {
     LevelStats& s = levels[t.level];
-    const TaskRecord& r = result.taskRecords[t.id];
+    const obs::TaskTimes& r = times[t.id];
     ++s.tasks;
-    s.firstStart = std::min(s.firstStart, r.startTime);
-    s.lastFinish = std::max(s.lastFinish, r.finishTime);
+    s.firstStart = std::min(s.firstStart, r.start);
+    s.lastFinish = std::max(s.lastFinish, r.finish);
     s.cpuSeconds += t.runtimeSeconds;
     if (s.routine.empty()) s.routine = t.type;
     else if (s.routine != t.type) s.routine = "(mixed)";
@@ -58,16 +63,17 @@ void printLevelSummary(std::ostream& os, const dag::Workflow& wf,
 }
 
 void printGantt(std::ostream& os, const dag::Workflow& wf,
-                const ExecutionResult& result, std::size_t maxRows,
+                const obs::TraceStore& trace, std::size_t maxRows,
                 std::size_t width) {
-  requireTrace(result, "printGantt");
+  const std::vector<obs::TaskTimes> times =
+      tracedTimes(wf, trace, "printGantt");
   if (width < 8) width = 8;
-  const double span = std::max(result.makespanSeconds, 1e-9);
+  const double span = std::max(trace.maxTime(), 1e-9);
   std::vector<dag::TaskId> byStart(wf.taskCount());
   for (std::size_t i = 0; i < byStart.size(); ++i)
     byStart[i] = static_cast<dag::TaskId>(i);
   std::sort(byStart.begin(), byStart.end(), [&](dag::TaskId a, dag::TaskId b) {
-    return result.taskRecords[a].startTime < result.taskRecords[b].startTime;
+    return times[a].start < times[b].start;
   });
   const std::size_t rows = std::min(maxRows, byStart.size());
   const std::size_t step = std::max<std::size_t>(1, byStart.size() / rows);
@@ -75,14 +81,14 @@ void printGantt(std::ostream& os, const dag::Workflow& wf,
      << formatDuration(span) << ")\n";
   for (std::size_t i = 0; i < byStart.size(); i += step) {
     const dag::TaskId id = byStart[i];
-    const TaskRecord& r = result.taskRecords[id];
+    const obs::TaskTimes& r = times[id];
     std::string row(width, '.');
     auto col = [&](double t) {
       return std::min(width - 1,
                       static_cast<std::size_t>(t / span * (width - 1)));
     };
-    const std::size_t a = col(std::max(0.0, r.startTime));
-    const std::size_t b = col(std::max(0.0, r.finishTime));
+    const std::size_t a = col(std::max(0.0, r.start));
+    const std::size_t b = col(std::max(0.0, r.finish));
     for (std::size_t c = a; c <= b; ++c) row[c] = '#';
     os << row << "  " << wf.task(id).name << '\n';
   }

@@ -105,6 +105,21 @@ bool TraceStore::operator==(const TraceStore& other) const {
 
 // -- SpanSink -----------------------------------------------------------------
 
+std::vector<TaskTimes> taskTimes(const TraceStore& store,
+                                 std::size_t taskCount) {
+  std::vector<TaskTimes> out(taskCount);
+  // Spans are appended in event order, so a task's first Task span is its
+  // first attempt: a retried task keeps the start of its whole occupancy.
+  for (std::uint32_t s = 0; s < store.spanCount(); ++s) {
+    const std::uint32_t task = store.task(s);
+    if (store.kind(s) != SpanKind::Task || task >= taskCount) continue;
+    TaskTimes& t = out[task];
+    if (t.start < 0.0) t.start = store.begin(s);
+    if (!store.isOpen(s) && !store.isFailed(s)) t.finish = store.end(s);
+  }
+  return out;
+}
+
 namespace {
 
 std::uint64_t stageKey(std::uint32_t task, std::uint32_t file) {

@@ -158,6 +158,20 @@ class TraceStore {
   double maxTime_ = 0.0;
 };
 
+/// One task's occupancy as its spans record it: `start` is the begin of the
+/// task's first Task span, `finish` the end of a Task span that closed
+/// without failing.  -1 where the trace holds no such span (a task that
+/// never started, or failed for good).
+struct TaskTimes {
+  double start = -1.0;
+  double finish = -1.0;
+};
+
+/// Per-task start and finish, indexed by task id; spans of tasks at or
+/// beyond `taskCount` (and task-less spans) are ignored.
+std::vector<TaskTimes> taskTimes(const TraceStore& store,
+                                 std::size_t taskCount);
+
 /// Static task-graph context for causal edges, in obs-layer terms (raw ids;
 /// build one from a dag::Workflow with analysis::traceTopology).  CSR layout:
 /// task t's parents are parents[parentOffsets[t] .. parentOffsets[t+1]), its

@@ -29,15 +29,13 @@ CampaignResult runCampaign(const std::vector<dag::Workflow>& shards,
     specs.push_back(std::move(spec));
   }
 
-  RunnerOptions runnerOptions;
-  runnerOptions.jobs = options.jobs;
-  runnerOptions.baseSeed = options.baseSeed;
-  runnerOptions.observer = options.observer;
-  runnerOptions.cache = options.cache;
-
   CampaignResult campaign;
   campaign.shards = shards.size();
-  campaign.shardResults = runOnQueue(options.queue, specs, runnerOptions);
+  campaign.shardResults =
+      runOnQueue(options.queue, specs,
+                 {.jobs = 0,
+                  .baseSeed = options.baseSeed,
+                  .observer = options.observer});
 
   for (const ScenarioResult& shard : campaign.shardResults) {
     const engine::ExecutionResult& r = shard.result;

@@ -2,16 +2,16 @@
 //
 // A survey campaign (workflows/survey) splits into independent shards —
 // disjoint tile ranges with no shared files — and each shard is a complete
-// workflow.  Campaign mode runs every shard as a scenario on the parallel
-// Runner, modeling a survey operator who provisions one processor pool per
+// workflow.  Campaign mode runs every shard as a scenario on a
+// runner::JobQueue, modeling a survey operator who provisions one processor pool per
 // shard and runs them concurrently, then rolls the shard results up into
 // campaign-level aggregates.  This is the scale at which the runner's
 // thread pool finally sees real work per scenario: one shard of a 10⁶-task
 // campaign simulates for seconds, not microseconds.
 //
-// Determinism matches the Runner's guarantees: shard outcomes are pure
+// Determinism matches the runner's guarantees: shard outcomes are pure
 // functions of (shard workflow, config, derived seed), so campaign results
-// are identical for any `jobs` value, and the observer's merged stream is
+// are identical for any worker count, and the observer's merged stream is
 // byte-identical to a serial sweep, followed by one obs::ShardCompleted per
 // shard and a final obs::CampaignCompleted roll-up.
 #pragma once
@@ -35,19 +35,16 @@ class JobQueue;
 struct CampaignOptions {
   /// Per-shard platform configuration (processors, data mode, link,
   /// faults...).  `engine.observer` must be nullptr — observation is
-  /// managed per scenario by the Runner; `engine.profile` is forced off.
+  /// managed per scenario by the runner; `engine.profile` is forced off.
   engine::EngineConfig engine;
-  /// Worker threads simulating shards concurrently; 0 = serial legacy path.
-  int jobs = defaultJobs();
   /// != 0: shard i simulates with fault seed deriveSeed(baseSeed, i).
   std::uint64_t baseSeed = 0;
   /// Receives the deterministic merged shard streams, then ShardCompleted /
   /// CampaignCompleted roll-ups.  Borrowed; may be nullptr.
   obs::Sink* observer = nullptr;
-  /// Optional scenario memo cache shared with other runs.
-  ScenarioMemoCache* cache = nullptr;
-  /// Run the shard batch on this persistent JobQueue instead of a one-shot
-  /// runner; its workers and cache supersede `jobs`/`cache`.  Borrowed.
+  /// Simulates the shards concurrently on this queue's workers (and its
+  /// memo cache, if any).  nullptr = one after another on the caller's
+  /// thread, uncached.  Borrowed.
   JobQueue* queue = nullptr;
 };
 
@@ -73,7 +70,7 @@ struct CampaignResult {
 /// Simulate every shard and aggregate.  Shards are borrowed and must
 /// outlive the call.  Throws std::invalid_argument on an empty shard list
 /// or a non-null options.engine.observer; shard simulation failures
-/// propagate like Runner::run.
+/// propagate like runScenarios.
 CampaignResult runCampaign(const std::vector<dag::Workflow>& shards,
                            const CampaignOptions& options = {});
 

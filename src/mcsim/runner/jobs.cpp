@@ -20,7 +20,7 @@
 namespace mcsim::runner {
 namespace {
 
-/// Same malformed-spec contract (and messages) as the legacy Runner.
+/// The malformed-spec contract of submit() and runScenarios.
 void validateSpecs(const std::vector<ScenarioSpec>& specs) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (specs[i].workflow == nullptr)
@@ -227,10 +227,8 @@ struct JobQueue::Job {
   double startWall = 0.0;  ///< Activation time (profile only).
 
   bool planned = false;
-  bool serialMode = false;  ///< Legacy serial path: min(toRun, W) <= 1.
-  bool finalized = false;   ///< A worker owns finalization (or it is done).
+  bool finalized = false;  ///< A worker owns finalization (or it is done).
   CachePlan plan;
-  std::size_t dupCount = 0;
   std::vector<ScenarioResult> results;
   std::size_t nextItem = 0;  ///< Next unclaimed index into plan.toRun.
   std::size_t inFlight = 0;
@@ -282,9 +280,9 @@ JobQueue::~JobQueue() {
 JobId JobQueue::submit(JobRequest request) {
   validateSpecs(request.scenarios);
   std::unique_lock<std::mutex> lock(mutex_);
+  // Inline mode never queues, so its admission queue is never full.
   stateCv_.wait(lock, [&] {
-    return stopping_ || options_.workers == 0 ||
-           pending_.size() < options_.maxQueuedJobs;
+    return stopping_ || pending_.size() < options_.maxQueuedJobs;
   });
   if (stopping_)
     throw std::runtime_error("JobQueue: queue is shutting down");
@@ -298,8 +296,7 @@ std::optional<JobId> JobQueue::trySubmit(JobRequest request) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_)
     throw std::runtime_error("JobQueue: queue is shutting down");
-  if (options_.workers > 0 && pending_.size() >= options_.maxQueuedJobs)
-    return std::nullopt;
+  if (pending_.size() >= options_.maxQueuedJobs) return std::nullopt;
   auto job = std::make_unique<Job>();
   job->request = std::move(request);
   return submitLocked(std::move(job), lock);
@@ -315,11 +312,12 @@ JobId JobQueue::submitLocked(std::unique_ptr<Job> job,
   ref.profileOn = jo.profile && jo.observer != nullptr;
   jobs_.emplace(id, std::move(job));
   if (options_.workers == 0) {
-    // Inline mode: the caller's thread is the pool — the exact legacy
-    // serial path, wrapped in job bookkeeping.
+    // Inline mode: the caller's thread is the pool's only worker and runs
+    // the job to completion before submit returns.
     emitLifecycle(options_.observer,
                   obs::JobSubmitted{id, ref.request.scenarios.size(), 0});
     activate(ref, lock);
+    while (!ref.finalized) step(ref, 0, lock);
     return id;
   }
   pending_.push_back(id);
@@ -438,21 +436,11 @@ void JobQueue::workerLoop(int worker) {
     // Jobs in id (admission) order: finish and finalize earlier jobs first.
     for (auto& [id, jobPtr] : jobs_) {
       Job& job = *jobPtr;
-      if (job.state != JobState::Running || !job.planned ||
-          job.serialMode || job.finalized)
+      if (job.state != JobState::Running || !job.planned || job.finalized)
         continue;
-      const bool exhausted =
-          job.cancelRequested.load(std::memory_order_relaxed) ||
-          job.nextItem >= job.plan.toRun.size();
-      if (!exhausted) {
-        executeItem(job, worker, lock);
+      if (step(job, worker, lock)) {
         worked = true;
         break;  // the jobs_ map may have changed while unlocked
-      }
-      if (job.inFlight == 0) {
-        finalize(job, lock);
-        worked = true;
-        break;
       }
     }
     if (worked) continue;
@@ -490,123 +478,34 @@ void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
     job.plan.toRun.resize(n);
     std::iota(job.plan.toRun.begin(), job.plan.toRun.end(), std::size_t{0});
   }
-  for (std::size_t d : job.plan.dupOf)
-    if (d != kRunFresh) ++job.dupCount;
   // Prior-run cache hits are already resolved; in-batch duplicates resolve
   // at finalization.
-  job.completedScenarios = n - job.plan.toRun.size() - job.dupCount;
-  const std::size_t effective = std::min<std::size_t>(
-      job.plan.toRun.size(), static_cast<std::size_t>(options_.workers));
-  job.serialMode = effective <= 1;
-  if (job.profileOn)
-    job.tally.assign(job.serialMode ? 1 : effective, WorkerTally{});
-  job.planned = true;
-  if (job.serialMode) {
-    executeSerial(job, lock);
-    return;
+  const auto dups = static_cast<std::size_t>(std::count_if(
+      job.plan.dupOf.begin(), job.plan.dupOf.end(),
+      [](std::size_t d) { return d != kRunFresh; }));
+  job.completedScenarios = n - job.plan.toRun.size() - dups;
+  if (job.profileOn) {
+    // One slot per worker that can claim a scenario; inline mode and
+    // fully cached jobs still report the one thread that ran them.
+    const std::size_t effective = std::min<std::size_t>(
+        job.plan.toRun.size(), static_cast<std::size_t>(options_.workers));
+    job.tally.assign(std::max<std::size_t>(effective, 1), WorkerTally{});
   }
-  workCv_.notify_all();
+  job.planned = true;
+  // The activating worker takes the first scenario itself; the others are
+  // only worth waking when there is a second one for them.
+  if (job.plan.toRun.size() > 1) workCv_.notify_all();
 }
 
-/// The exact legacy serial path (run in spec order in one thread, merging
-/// each scenario's events as it completes so failures propagate at the same
-/// point they would have in the old serial sweeps), wrapped in job
-/// bookkeeping.  Also used by worker threads for degenerate batches —
-/// min(toRun, workers) <= 1 — to stay byte-compatible with the legacy
-/// runner's serial fallback.
-void JobQueue::executeSerial(Job& job, std::unique_lock<std::mutex>& lock) {
-  lock.unlock();
-  const std::vector<ScenarioSpec>& specs = job.request.scenarios;
-  const JobOptions& jo = job.request.options;
-  ScenarioMemoCache* cache = options_.cache;
-  const std::size_t n = specs.size();
-
-  // Representatives that later duplicates will need: pin a private copy at
-  // insert time.  The shared cache may be capacity-bounded and concurrent —
-  // an entry inserted a moment ago can already be evicted, so duplicate
-  // service never depends on cache residency.
-  std::vector<bool> needPin(n, false);
-  std::map<std::uint64_t, ScenarioMemoCache::Entry> pinned;
-  if (cache != nullptr)
-    for (std::size_t d : job.plan.dupOf)
-      if (d != kRunFresh) needPin[d] = true;
-
-  WorkerTally tally;
-  const auto timedRunOne = [&](std::size_t i) {
-    if (!job.profileOn) {
-      runOne(specs[i], i, jo.baseSeed, job.capture, job.results[i]);
-      return;
-    }
-    const double t0 = wallNow();
-    runOne(specs[i], i, jo.baseSeed, job.capture, job.results[i]);
-    tally.busySeconds += wallNow() - t0;
-    ++tally.scenarios;
-  };
-
-  bool cancelled = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (job.cancelRequested.load(std::memory_order_relaxed)) {
-      cancelled = true;
-      break;
-    }
-    try {
-      if (cache != nullptr) {
-        if (job.plan.dupOf[i] != kRunFresh) {
-          // The representative ran at a smaller index; serve its pin.
-          const std::uint64_t key = job.plan.keys[i];
-          fillFromEntry(pinned.at(key), specs[i], i, job.results[i]);
-        } else if (!job.results[i].fromCache) {
-          timedRunOne(i);
-          insertEntry(*cache, job.plan.keys[i], job.results[i], job.capture);
-          if (needPin[i]) {
-            ScenarioMemoCache::Entry pin;
-            pin.result = job.results[i].result;
-            if (job.capture) pin.events = job.results[i].events;
-            pinned.emplace(job.plan.keys[i], std::move(pin));
-          }
-        }
-      } else {
-        timedRunOne(i);
-      }
-    } catch (...) {
-      job.errorIndex = i;
-      job.error = std::current_exception();
-      break;
-    }
-    mergeOne(job.results[i], jo.observer, jo.keepEvents);
-    lock.lock();
-    ++job.completedScenarios;
-    lock.unlock();
+bool JobQueue::step(Job& job, int worker, std::unique_lock<std::mutex>& lock) {
+  if (!job.cancelRequested.load(std::memory_order_relaxed) &&
+      job.nextItem < job.plan.toRun.size()) {
+    executeItem(job, worker, lock);
+    return true;
   }
-
-  if (job.error == nullptr && !cancelled) {
-    if (cache != nullptr)
-      emitJobCacheStats(*cache, n - job.plan.toRun.size(),
-                        job.plan.toRun.size(), jo.observer);
-    if (job.profileOn) {
-      tally.wallSeconds = wallNow() - job.startWall;
-      emitProfile(jo.observer, options_.workers, {tally}, n,
-                  n - job.plan.toRun.size(), tally.wallSeconds);
-    }
-  }
-
-  lock.lock();
-  job.finalized = true;
-  if (job.error != nullptr) {
-    job.state = JobState::Failed;
-    job.results.clear();
-  } else if (cancelled ||
-             job.cancelRequested.load(std::memory_order_relaxed)) {
-    job.state = JobState::Cancelled;
-    job.results.clear();
-  } else {
-    job.state = JobState::Completed;
-    job.completedScenarios = n;
-  }
-  emitLifecycle(options_.observer,
-                obs::JobFinished{job.id, static_cast<std::uint8_t>(job.state),
-                                 n, n - job.plan.toRun.size()});
-  stateCv_.notify_all();
+  if (job.inFlight != 0) return false;
+  finalize(job, lock);
+  return true;
 }
 
 void JobQueue::executeItem(Job& job, int worker,
@@ -625,20 +524,14 @@ void JobQueue::executeItem(Job& job, int worker,
   lock.unlock();
 
   std::exception_ptr failure;
-  double busy = 0.0;
+  const double t0 = job.profileOn ? wallNow() : 0.0;
   try {
-    if (job.profileOn) {
-      const double t0 = wallNow();
-      runOne(job.request.scenarios[i], i, job.request.options.baseSeed,
-             job.capture, job.results[i]);
-      busy = wallNow() - t0;
-    } else {
-      runOne(job.request.scenarios[i], i, job.request.options.baseSeed,
-             job.capture, job.results[i]);
-    }
+    runOne(job.request.scenarios[i], i, job.request.options.baseSeed,
+           job.capture, job.results[i]);
   } catch (...) {
     failure = std::current_exception();
   }
+  const double busy = job.profileOn ? wallNow() - t0 : 0.0;
 
   lock.lock();
   --job.inFlight;
@@ -674,9 +567,8 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
       for (std::size_t i : job.plan.toRun)
         insertEntry(*options_.cache, job.plan.keys[i], job.results[i],
                     job.capture);
-      // Duplicates are served from their representative's in-job result —
-      // byte-identical to the legacy peek() path, but immune to concurrent
-      // LRU eviction of the just-inserted entry.
+      // Duplicates are served from their representative's in-job result,
+      // immune to concurrent LRU eviction of the just-inserted entry.
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t rep = job.plan.dupOf[i];
         if (rep == kRunFresh) continue;
@@ -717,16 +609,28 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
   stateCv_.notify_all();
 }
 
+namespace {
+
+/// The request-scoped half of a RunnerOptions.
+JobOptions jobOptions(const RunnerOptions& options) {
+  return {options.baseSeed, options.observer, options.keepEvents,
+          options.profile};
+}
+
+}  // namespace
+
+std::vector<ScenarioResult> runScenarios(const std::vector<ScenarioSpec>& specs,
+                                         const RunnerOptions& options) {
+  JobQueue queue(
+      {.workers = options.jobs, .maxQueuedJobs = 1, .cache = options.cache});
+  return queue.run(specs, jobOptions(options));
+}
+
 std::vector<ScenarioResult> runOnQueue(JobQueue* queue,
                                        const std::vector<ScenarioSpec>& specs,
                                        const RunnerOptions& fallback) {
   if (queue == nullptr) return runScenarios(specs, fallback);
-  JobOptions options;
-  options.baseSeed = fallback.baseSeed;
-  options.observer = fallback.observer;
-  options.keepEvents = fallback.keepEvents;
-  options.profile = fallback.profile;
-  return queue->run(specs, options);
+  return queue->run(specs, jobOptions(fallback));
 }
 
 }  // namespace mcsim::runner

@@ -1,24 +1,23 @@
 // Job-oriented runner API: a persistent worker pool with submit / status /
 // wait / cancel semantics and a backpressured bounded admission queue.
 //
-// PR 3's `runScenarios` was one-shot: spawn workers, run the batch, join.
-// A simulation *service* needs the inverse shape — workers outlive any one
-// request, requests arrive concurrently, and callers poll or block on their
-// own job without fencing anyone else.  JobQueue is that shape; the old
-// `runScenarios` survives as a thin compat wrapper that submits one job to
-// a transient queue and waits (differential-tested byte-identical).
+// Workers outlive any one request, requests arrive concurrently, and
+// callers poll or block on their own job without fencing anyone else.
+// Every batch runs here: `runScenarios` submits one job to a transient
+// queue and waits, and a 0-worker queue runs each job on the submitting
+// thread through the same per-scenario loop the pool workers run.
 //
-// Determinism contract (inherited from the Runner, see DESIGN.md):
+// Determinism contract (see DESIGN.md "Concurrency model"):
 //  * A job's results and its observer's merged event stream are
-//    byte-identical to the equivalent `runScenarios` batch call, for any
-//    worker count, including while other jobs run concurrently — each job
-//    gets private per-scenario capture sinks and a private merge, and
-//    per-job cache accounting is computed from the serial admission-time
-//    classification, never from racy global counters.
+//    byte-identical for any worker count, including 0 and while other jobs
+//    run concurrently — each job gets private per-scenario capture sinks
+//    and a private merge, and per-job cache accounting is computed from the
+//    serial admission-time classification, never from racy global counters.
 //  * Seeds: JobOptions::baseSeed derives per-scenario seeds exactly like
 //    RunnerOptions::baseSeed.
 //  * Errors: the lowest-index scenario failure wins, the job's remaining
-//    scenarios are cancelled, and wait() surfaces the stored exception.
+//    scenarios are cancelled, and wait() surfaces the stored exception.  A
+//    failed job merges nothing into its observer and caches nothing.
 //  * Cancel: a queued job cancels immediately; a running job stops claiming
 //    new scenarios, drains its in-flight ones, and resolves Cancelled with
 //    no results.  Other jobs are unaffected — their bytes do not change.
@@ -125,7 +124,7 @@ struct JobOutcome {
 
 struct JobQueueOptions {
   /// Persistent worker threads.  0 = inline mode: submit() executes the job
-  /// synchronously in the caller's thread — the exact legacy serial path.
+  /// synchronously in the caller's thread.
   int workers = defaultJobs();
   /// Backpressure bound on jobs admitted but not yet activated; submit()
   /// blocks (trySubmit() refuses) while the admission queue is full.
@@ -152,7 +151,7 @@ class JobQueue {
 
   /// Admit a job; blocks while the admission queue is full.  Throws
   /// std::invalid_argument on malformed specs (same contract as
-  /// Runner::run).  In inline mode the job executes before returning.
+  /// runScenarios).  In inline mode the job executes before returning.
   JobId submit(JobRequest request);
   /// Like submit but never blocks: nullopt when the queue is full.
   std::optional<JobId> trySubmit(JobRequest request);
@@ -183,7 +182,9 @@ class JobQueue {
   JobId submitLocked(std::unique_ptr<Job> job, std::unique_lock<std::mutex>& lock);
   void workerLoop(int worker);
   void activate(Job& job, std::unique_lock<std::mutex>& lock);
-  void executeSerial(Job& job, std::unique_lock<std::mutex>& lock);
+  /// Run the job's next scenario, or finalize it once it is exhausted and
+  /// idle.  False when another worker still has a scenario in flight.
+  bool step(Job& job, int worker, std::unique_lock<std::mutex>& lock);
   void executeItem(Job& job, int worker, std::unique_lock<std::mutex>& lock);
   void finalize(Job& job, std::unique_lock<std::mutex>& lock);
 
@@ -198,11 +199,10 @@ class JobQueue {
   std::vector<std::thread> workers_;
 };
 
-/// Bridge for sweep drivers mid-migration: run `specs` on `queue` when one
-/// is provided (request-scoped options lifted from `fallback`; the queue's
-/// own workers/cache win over the fallback's), else fall back to the legacy
-/// one-shot runScenarios(specs, fallback).  Lets every analysis config grow
-/// a `JobQueue*` field without forking its call sites.
+/// The sweep drivers' entry point: run `specs` on `queue` when one is
+/// provided (request-scoped options lifted from `fallback`; the queue's own
+/// workers and cache win over the fallback's), else the one-shot
+/// runScenarios(specs, fallback).
 std::vector<ScenarioResult> runOnQueue(JobQueue* queue,
                                        const std::vector<ScenarioSpec>& specs,
                                        const RunnerOptions& fallback);

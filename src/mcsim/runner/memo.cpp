@@ -102,7 +102,6 @@ std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
   h.f64(config.vmStartupSeconds);
   h.f64(config.vmTeardownSeconds);
   h.f64(config.storageCapacityBytes);
-  h.u8(config.trace ? 1 : 0);
   h.f64(config.samplePeriodSeconds);
   h.u8(config.profile ? 1 : 0);
   h.u8(config.referenceCore ? 1 : 0);
@@ -144,13 +143,12 @@ std::uint64_t combineFingerprints(std::uint64_t workflowFingerprint,
 namespace {
 
 /// Approximate resident footprint of one entry: the struct itself plus the
-/// dominant heap vectors (event stream, per-task records, storage curve).
+/// dominant heap vectors (event stream, storage curve).
 /// Strings inside log events are not chased — this is a capacity signal,
 /// not an allocator audit.
 std::size_t approxEntryBytes(const ScenarioMemoCache::Entry& entry) {
   return sizeof(ScenarioMemoCache::Entry) +
          entry.events.size() * sizeof(obs::Event) +
-         entry.result.taskRecords.size() * sizeof(engine::TaskRecord) +
          entry.result.storageCurve.eventCount() * sizeof(UsageEvent);
 }
 

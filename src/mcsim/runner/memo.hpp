@@ -22,7 +22,7 @@
 // Hit/miss accounting is deterministic: the runner classifies every
 // scenario serially before any simulation starts, so counts never depend on
 // worker scheduling.  Thread safety: all members are mutex-guarded, so one
-// cache may be shared across concurrent Runner::run calls and server jobs.
+// cache may be shared across concurrent batches and server jobs.
 #pragma once
 
 #include <cstddef>

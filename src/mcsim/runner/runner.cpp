@@ -1,9 +1,6 @@
 #include "mcsim/runner/runner.hpp"
 
-#include <stdexcept>
 #include <thread>
-
-#include "mcsim/runner/jobs.hpp"
 
 namespace mcsim::runner {
 
@@ -20,34 +17,6 @@ std::uint64_t deriveSeed(std::uint64_t baseSeed,
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
-}
-
-// The one-shot batch API is now a thin wrapper over the job queue: a
-// transient queue, one job, wait, rethrow.  All execution semantics
-// (serial fallback, cache planning, lowest-index-error, deterministic
-// merge, profiling) live in jobs.cpp; the differential test in
-// tests/runner/jobs_compat_test.cpp holds this wrapper byte-identical to
-// the legacy in-place implementation it replaced.
-std::vector<ScenarioResult> Runner::run(
-    const std::vector<ScenarioSpec>& specs) const {
-  if (options_.jobs < 0)
-    throw std::invalid_argument("Runner: jobs must be >= 0");
-  JobQueueOptions queueOptions;
-  queueOptions.workers = options_.jobs;
-  queueOptions.maxQueuedJobs = 1;
-  queueOptions.cache = options_.cache;
-  JobQueue queue(queueOptions);
-  JobOptions jobOptions;
-  jobOptions.baseSeed = options_.baseSeed;
-  jobOptions.observer = options_.observer;
-  jobOptions.keepEvents = options_.keepEvents;
-  jobOptions.profile = options_.profile;
-  return queue.run(specs, jobOptions);
-}
-
-std::vector<ScenarioResult> runScenarios(const std::vector<ScenarioSpec>& specs,
-                                         const RunnerOptions& options) {
-  return Runner(options).run(specs);
 }
 
 }  // namespace mcsim::runner

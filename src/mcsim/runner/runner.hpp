@@ -7,9 +7,13 @@
 // independent runs, so this is exactly the granularity at which the
 // hardware can be saturated without giving up bit-reproducibility.
 //
+// The batch types live here; every batch runs on runner::JobQueue
+// (runner/jobs.hpp), either a persistent one or the transient queue that
+// runScenarios builds.
+//
 // Guarantees (see DESIGN.md "Concurrency model"):
-//  * Results are returned in spec order and are identical for any `jobs`
-//    value, including 0 — a scenario's outcome is a pure function of its
+//  * Results are returned in spec order and are identical for any worker
+//    count, including 0 — a scenario's outcome is a pure function of its
 //    spec, never of scheduling.
 //  * Telemetry: each scenario is observed by a private in-memory sink;
 //    at join the per-scenario streams are replayed into
@@ -19,14 +23,13 @@
 //    deriveSeed(baseSeed, index) — a pure hash, so adding, removing or
 //    reordering workers never changes any scenario's randomness.
 //  * Errors: the first scenario failure cancels the batch (workers stop
-//    picking up new scenarios; in-flight simulations finish) and run()
+//    picking up new scenarios; in-flight simulations finish) and the call
 //    rethrows the failure with the smallest scenario index observed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mcsim/engine/engine.hpp"
@@ -52,7 +55,7 @@ std::uint64_t deriveSeed(std::uint64_t baseSeed, std::uint64_t scenarioIndex);
 /// One independent simulation: a workflow reference plus the full platform
 /// configuration (data mode, processors, link, faults, seed...).  The
 /// workflow is borrowed and must outlive the run; `config.observer` must be
-/// nullptr — per-scenario observation is managed by the Runner (a sink
+/// nullptr — per-scenario observation is managed by the runner (a sink
 /// shared across concurrent scenarios would race).
 struct ScenarioSpec {
   const dag::Workflow* workflow = nullptr;
@@ -75,9 +78,8 @@ struct ScenarioResult {
 };
 
 struct RunnerOptions {
-  /// Worker threads.  0 = serial in the caller's thread — the exact legacy
-  /// code path (same call order, no pool), kept for debugging.  Values
-  /// above the batch size are clamped.
+  /// Worker threads of the transient queue.  0 = every scenario runs in
+  /// the caller's thread, in spec order.
   int jobs = defaultJobs();
   /// != 0: overwrite each scenario's `config.faults.seed` with
   /// deriveSeed(baseSeed, index).  0 (default) leaves spec seeds untouched.
@@ -94,9 +96,8 @@ struct RunnerOptions {
   /// or repeated within the batch — are served by replaying the stored
   /// result and event stream, byte-identical to a fresh run.  Newly
   /// simulated scenarios are inserted.  Borrowed; may be shared across
-  /// Runner instances and concurrent run() calls.  When `observer` is also
-  /// set, one obs::ScenarioCacheStats event is appended after the merged
-  /// streams.
+  /// queues and concurrent calls.  When `observer` is also set, one
+  /// obs::ScenarioCacheStats event is appended after the merged streams.
   ScenarioMemoCache* cache = nullptr;
   /// Emit runner self-profiling events (one obs::WorkerProfile per worker,
   /// then one obs::RunnerBatchProfile) to `observer` after the merged
@@ -108,23 +109,10 @@ struct RunnerOptions {
   bool profile = false;
 };
 
-class Runner {
- public:
-  Runner() = default;
-  explicit Runner(RunnerOptions options) : options_(std::move(options)) {}
-
-  const RunnerOptions& options() const { return options_; }
-
-  /// Execute every scenario and return their results in spec order.
-  /// Throws std::invalid_argument on malformed specs/options; rethrows the
-  /// lowest-index scenario failure after cancelling the batch.
-  std::vector<ScenarioResult> run(const std::vector<ScenarioSpec>& specs) const;
-
- private:
-  RunnerOptions options_;
-};
-
-/// One-shot convenience over Runner{options}.run(specs).
+/// Execute every scenario on a transient JobQueue of `options.jobs`
+/// workers and return the results in spec order.  Throws
+/// std::invalid_argument on malformed specs or options; rethrows the
+/// lowest-index scenario failure after cancelling the batch.
 std::vector<ScenarioResult> runScenarios(const std::vector<ScenarioSpec>& specs,
                                          const RunnerOptions& options = {});
 

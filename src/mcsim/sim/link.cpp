@@ -1,6 +1,7 @@
 #include "mcsim/sim/link.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -244,7 +245,14 @@ void Link::reschedule() {
   }
 
   MCSIM_ENSURES(delay >= 0.0, "negative reschedule delay ", delay);
-  pendingEvent_ = sim_.scheduleAfter(delay, [this] { onLinkEvent(); });
+  const double now = sim_.now();
+  double at = now + delay;
+  // A residue whose delay is below half an ulp of `now` would fire at
+  // `now`, credit nothing and reschedule forever: fire one ulp later, which
+  // credits at least the residue.
+  if (delay > 0.0 && at == now)
+    at = std::nextafter(now, std::numeric_limits<double>::infinity());
+  pendingEvent_ = sim_.schedule(at, [this] { onLinkEvent(); });
 }
 
 }  // namespace mcsim::sim

@@ -6,11 +6,23 @@
 #include "mcsim/dag/dax.hpp"
 #include "mcsim/dag/merge.hpp"
 #include "mcsim/engine/engine.hpp"
+#include "mcsim/obs/trace.hpp"
 
 namespace mcsim::engine {
 namespace {
 
 using test::makeChainWorkflow;
+
+/// Simulate under a span sink; `times` receives each task's start/finish.
+ExecutionResult tracedRun(const dag::Workflow& wf, EngineConfig cfg,
+                          std::vector<obs::TaskTimes>& times) {
+  obs::TraceStore store;
+  obs::SpanSink spans(store);
+  cfg.observer = &spans;
+  const ExecutionResult r = simulateWorkflow(wf, cfg);
+  times = obs::taskTimes(store, wf.taskCount());
+  return r;
+}
 
 EngineConfig fastLink(int procs) {
   EngineConfig cfg;
@@ -22,10 +34,9 @@ EngineConfig fastLink(int procs) {
 TEST(Arrivals, ReleaseTimeDelaysSourceTask) {
   auto wf = makeChainWorkflow(2, 10.0);
   wf.setEarliestStart(0, 100.0);
-  EngineConfig cfg = fastLink(1);
-  cfg.trace = true;
-  const auto r = simulateWorkflow(wf, cfg);
-  EXPECT_GE(r.taskRecords[0].startTime, 100.0);
+  std::vector<obs::TaskTimes> times;
+  const auto r = tracedRun(wf, fastLink(1), times);
+  EXPECT_GE(times[0].start, 100.0);
   EXPECT_NEAR(r.makespanSeconds, 120.0, 0.1);
 }
 
@@ -41,10 +52,9 @@ TEST(Arrivals, ReleaseCombinesWithDependencies) {
   // it starts at the later of the two.
   auto wf = makeChainWorkflow(2, 10.0);
   wf.setEarliestStart(1, 50.0);
-  EngineConfig cfg = fastLink(2);
-  cfg.trace = true;
-  const auto r = simulateWorkflow(wf, cfg);
-  EXPECT_GE(r.taskRecords[1].startTime, 50.0);
+  std::vector<obs::TaskTimes> times;
+  const auto r = tracedRun(wf, fastLink(2), times);
+  EXPECT_GE(times[1].start, 50.0);
   EXPECT_NEAR(r.makespanSeconds, 60.0, 0.1);
 
   // Release earlier than the parent finish changes nothing.
@@ -64,15 +74,14 @@ TEST(Arrivals, StaggeredMergeReleasesEachPart) {
   const std::vector<dag::Workflow> parts(4, request);
   const dag::Workflow stream =
       dag::mergeWorkflowsStaggered(parts, {0.0, 100.0, 200.0, 300.0});
-  EngineConfig cfg = fastLink(64);
-  cfg.trace = true;
-  const auto r = simulateWorkflow(stream, cfg);
+  std::vector<obs::TaskTimes> times;
+  const auto r = tracedRun(stream, fastLink(64), times);
   const auto offsets = dag::partTaskOffsets(parts);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const double release = 100.0 * static_cast<double>(i);
-    EXPECT_GE(r.taskRecords[offsets[i]].startTime, release) << "part " << i;
+    EXPECT_GE(times[offsets[i]].start, release) << "part " << i;
     // Each request still takes its own 30 s once released.
-    EXPECT_NEAR(r.taskRecords[offsets[i + 1] - 1].finishTime, release + 30.0,
+    EXPECT_NEAR(times[offsets[i + 1] - 1].finish, release + 30.0,
                 0.1)
         << "part " << i;
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/common/fixtures.hpp"
+#include "mcsim/obs/trace.hpp"
 
 namespace mcsim::engine {
 namespace {
@@ -155,24 +156,41 @@ TEST(EngineBasic, UtilizationDropsWithOverProvisioning) {
 TEST(EngineBasic, TraceRecordsTimeline) {
   const auto fig = makeFigure3Workflow();
   EngineConfig cfg = config(DataMode::Regular, 2);
-  cfg.trace = true;
-  const auto r = simulateWorkflow(fig.wf, cfg);
-  ASSERT_EQ(r.taskRecords.size(), 7u);
-  for (const TaskRecord& rec : r.taskRecords) {
-    EXPECT_GE(rec.readyTime, 0.0);
-    EXPECT_GE(rec.startTime, rec.readyTime);
-    EXPECT_GE(rec.execStart, rec.startTime);
-    EXPECT_GE(rec.finishTime, rec.execStart);
+  obs::TraceStore store;
+  obs::SpanSink spans(store);
+  cfg.observer = &spans;
+  simulateWorkflow(fig.wf, cfg);
+  const std::vector<obs::TaskTimes> times = obs::taskTimes(store, 7);
+  std::vector<double> ready(7, -1.0);
+  for (std::uint32_t s = 0; s < store.spanCount(); ++s)
+    if (store.kind(s) == obs::SpanKind::QueueWait)
+      ready[store.task(s)] = store.begin(s);
+  for (std::size_t t = 0; t < times.size(); ++t) {
+    EXPECT_GE(ready[t], 0.0);
+    EXPECT_GE(times[t].start, ready[t]);
+    EXPECT_GT(times[t].finish, times[t].start);
   }
   // t0 becomes ready when file a lands at t=1.
-  EXPECT_NEAR(r.taskRecords[fig.t0].readyTime, 1.0, 1e-9);
-  EXPECT_NEAR(r.taskRecords[fig.t0].finishTime, 11.0, 1e-9);
+  EXPECT_NEAR(ready[fig.t0], 1.0, 1e-9);
+  EXPECT_NEAR(times[fig.t0].finish, 11.0, 1e-9);
 }
 
 TEST(EngineBasic, NoTraceByDefault) {
+  // Tracing is an observer, and none is attached by default; attaching one
+  // changes nothing the run measures.
   const auto fig = makeFigure3Workflow();
-  const auto r = simulateWorkflow(fig.wf, config(DataMode::Regular, 2));
-  EXPECT_TRUE(r.taskRecords.empty());
+  const EngineConfig plain = config(DataMode::Regular, 2);
+  EXPECT_EQ(plain.observer, nullptr);
+  obs::TraceStore store;
+  obs::SpanSink spans(store);
+  EngineConfig traced = plain;
+  traced.observer = &spans;
+  const auto a = simulateWorkflow(fig.wf, plain);
+  const auto b = simulateWorkflow(fig.wf, traced);
+  EXPECT_GT(store.spanCount(), 0u);
+  EXPECT_EQ(a.makespanSeconds, b.makespanSeconds);
+  EXPECT_EQ(a.storageByteSeconds, b.storageByteSeconds);
+  EXPECT_EQ(a.processorBusySeconds, b.processorBusySeconds);
 }
 
 TEST(EngineBasic, DeterministicAcrossRuns) {

@@ -68,6 +68,19 @@ TEST(ReferenceCore, AgreesOnMontageRemoteIo) {
   expectEquivalent(wf, cfg);
 }
 
+TEST(ReferenceCore, AgreesOnMontage4DegRemoteIoOneProcessor) {
+  // Late in this 89-hour run a small file's residue asks the link for a
+  // reschedule delay below half an ulp of the current time; both cores
+  // must still finish, and agree.
+  const dag::Workflow wf = montage::buildMontageWorkflow(4.0);
+  EngineConfig cfg;
+  cfg.mode = DataMode::RemoteIO;
+  cfg.processors = 1;
+  cfg.linkSharing = sim::LinkSharing::Dedicated;
+  expectEquivalent(wf, cfg);
+  EXPECT_TRUE(simulateWorkflow(wf, cfg).completed());
+}
+
 TEST(ReferenceCore, AgreesUnderFaultsAndDeadline) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   EngineConfig cfg;

@@ -14,6 +14,7 @@
 #include "mcsim/faults/faults.hpp"
 #include "mcsim/obs/report.hpp"
 #include "mcsim/obs/sink.hpp"
+#include "mcsim/obs/trace.hpp"
 
 namespace mcsim::faults {
 namespace {
@@ -108,13 +109,16 @@ TEST_P(FaultProperties, BilledCpuIsFinishedWorkPlusWaste) {
   // Each completed task bills its full runtime exactly once; every crash
   // bills exactly the partial time it ran.  tasksExecuted runtimes are not
   // uniform, so recompute the finished-work sum from the trace.
+  obs::TraceStore store;
+  obs::SpanSink spans(store);
   engine::EngineConfig traced = cfg_;
-  traced.trace = true;
+  traced.observer = &spans;
   const auto rt = engine::simulateWorkflow(*wf_, traced);
+  const std::vector<obs::TaskTimes> times =
+      obs::taskTimes(store, wf_->taskCount());
   double finishedWork = 0.0;
   for (const dag::Task& t : wf_->tasks())
-    if (rt.taskRecords[t.id].finishTime >= 0.0)
-      finishedWork += t.runtimeSeconds;
+    if (times[t.id].finish >= 0.0) finishedWork += t.runtimeSeconds;
   EXPECT_NEAR(rt.cpuBusySeconds, finishedWork + rt.wastedCpuSeconds, 1e-6);
   // Tracing must not perturb the simulation.
   EXPECT_DOUBLE_EQ(r.cpuBusySeconds, rt.cpuBusySeconds);

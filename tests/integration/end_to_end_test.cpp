@@ -11,6 +11,7 @@
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/engine/trace.hpp"
 #include "mcsim/montage/factory.hpp"
+#include "mcsim/obs/trace.hpp"
 
 namespace mcsim {
 namespace {
@@ -54,13 +55,15 @@ TEST(EndToEnd, DaxFileOnDiskDrivesPlanner) {
 
 TEST(EndToEnd, TraceRenderingOnRealRun) {
   const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
+  obs::TraceStore store;
+  obs::SpanSink spans(store);
   engine::EngineConfig cfg;
   cfg.processors = 16;
-  cfg.trace = true;
+  cfg.observer = &spans;
   const auto result = engine::simulateWorkflow(wf, cfg);
 
   std::ostringstream levels;
-  engine::printLevelSummary(levels, wf, result);
+  engine::printLevelSummary(levels, wf, store);
   // All nine Montage routines appear in the level summary.
   for (const char* routine :
        {"mProject", "mDiffFit", "mConcatFit", "mBgModel", "mBackground",
@@ -69,7 +72,7 @@ TEST(EndToEnd, TraceRenderingOnRealRun) {
   }
 
   std::ostringstream gantt;
-  engine::printGantt(gantt, wf, result, 20, 60);
+  engine::printGantt(gantt, wf, store, 20, 60);
   EXPECT_NE(gantt.str().find('#'), std::string::npos);
 
   const std::string summary = engine::summarize(wf, result);
@@ -82,10 +85,11 @@ TEST(EndToEnd, TraceHelpersRejectUntracedResults) {
   engine::EngineConfig cfg;
   cfg.processors = 4;
   const auto result = engine::simulateWorkflow(wf, cfg);
+  const obs::TraceStore untraced;
   std::ostringstream os;
-  EXPECT_THROW(engine::printLevelSummary(os, wf, result),
+  EXPECT_THROW(engine::printLevelSummary(os, wf, untraced),
                std::invalid_argument);
-  EXPECT_THROW(engine::printGantt(os, wf, result), std::invalid_argument);
+  EXPECT_THROW(engine::printGantt(os, wf, untraced), std::invalid_argument);
   // summarize works without tracing.
   EXPECT_FALSE(engine::summarize(wf, result).empty());
 }

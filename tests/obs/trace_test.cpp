@@ -6,15 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "tests/common/json.hpp"
 #include "mcsim/analysis/explain.hpp"
 #include "mcsim/engine/engine.hpp"
-#include "mcsim/engine/trace_export.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/selfprofile.hpp"
 
@@ -306,6 +308,9 @@ TEST(PerfettoExport, MontageRunProducesValidJson) {
   ASSERT_FALSE(events.empty());
 
   std::size_t complete = 0;
+  std::vector<double> stamps;
+  // Task spans per processor lane: (ts, dur) in microseconds.
+  std::map<int, std::vector<std::pair<double, double>>> lanes;
   for (const auto& e : events) {
     const std::string ph = e.at("ph").asString();
     ASSERT_TRUE(ph == "X" || ph == "M" || ph == "C") << ph;
@@ -316,9 +321,32 @@ TEST(PerfettoExport, MontageRunProducesValidJson) {
       ++complete;
       EXPECT_GE(e.at("dur").asNumber(), 0.0);
       EXPECT_GE(e.at("ts").asNumber(), 0.0);
+      stamps.push_back(e.at("ts").asNumber());
+      if (e.at("cat").asString() == "task")
+        lanes[static_cast<int>(e.at("tid").asNumber())].emplace_back(
+            e.at("ts").asNumber(), e.at("dur").asNumber());
     }
   }
   EXPECT_EQ(complete, store.spanCount());
+
+  // `ts` is each span's begin in microseconds (printed to 12 digits).
+  std::vector<double> begins = store.spanBegins();
+  std::sort(begins.begin(), begins.end());
+  std::sort(stamps.begin(), stamps.end());
+  ASSERT_EQ(stamps.size(), begins.size());
+  for (std::size_t i = 0; i < begins.size(); ++i)
+    EXPECT_NEAR(stamps[i], begins[i] * 1e6, 1e-11 * begins[i] * 1e6 + 1e-9)
+        << "span " << i;
+
+  // A lane is a processor: its task spans never overlap.
+  ASSERT_EQ(lanes.size(), static_cast<std::size_t>(store.laneCount()));
+  for (auto& [tid, intervals] : lanes) {
+    std::sort(intervals.begin(), intervals.end());
+    for (std::size_t i = 1; i < intervals.size(); ++i)
+      EXPECT_GE(intervals[i].first,
+                intervals[i - 1].first + intervals[i - 1].second - 1e-3)
+          << "lane " << tid << " overlaps at interval " << i;
+  }
 }
 
 // -- .mctrace binary format ---------------------------------------------------
@@ -421,22 +449,24 @@ TEST(Mctrace, RejectsDanglingEdgesAndBadKinds) {
   }
 }
 
-// -- TimelineSink compatibility ----------------------------------------------
+// -- per-task times ------------------------------------------------------------
 
-TEST(TimelineSinkCompat, DerivesLegacyRecordsFromSpans) {
-  engine::TimelineSink sink(2);
-  for (const Event& e : twoTaskStream()) sink.onEvent(e);
-  const std::vector<engine::TaskRecord> records = sink.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_DOUBLE_EQ(records[0].readyTime, 0.8);
-  EXPECT_DOUBLE_EQ(records[0].startTime, 0.8);
-  EXPECT_DOUBLE_EQ(records[0].execStart, 0.8);
-  EXPECT_DOUBLE_EQ(records[0].finishTime, 10.8);
-  EXPECT_DOUBLE_EQ(records[1].finishTime, 15.8);
+TEST(TaskTimes, DerivedFromTaskSpans) {
+  const std::vector<TaskTimes> times = taskTimes(foldTwoTasks(), 2);
+  ASSERT_EQ(times.size(), 2u);
+  EXPECT_DOUBLE_EQ(times[0].start, 0.8);
+  EXPECT_DOUBLE_EQ(times[0].finish, 10.8);
+  EXPECT_DOUBLE_EQ(times[1].start, 10.8);
+  EXPECT_DOUBLE_EQ(times[1].finish, 15.8);
+  // Tasks the trace never mentions keep the -1 sentinels.
+  const std::vector<TaskTimes> padded = taskTimes(foldTwoTasks(), 3);
+  EXPECT_DOUBLE_EQ(padded[2].start, -1.0);
+  EXPECT_DOUBLE_EQ(padded[2].finish, -1.0);
 }
 
-TEST(TimelineSinkCompat, RetryKeepsFirstExecStartAndFailureKeepsNoFinish) {
-  engine::TimelineSink sink(1);
+TEST(TaskTimes, RetryKeepsFirstStartAndFailureKeepsNoFinish) {
+  TraceStore store;
+  SpanSink sink(store);
   const std::vector<Event> stream = {
       {0.0, RunStarted{1, 0, 1}},
       {0.0, TaskReady{0}},
@@ -448,13 +478,12 @@ TEST(TimelineSinkCompat, RetryKeepsFirstExecStartAndFailureKeepsNoFinish) {
       {8.0, TaskFailed{0, 2}},
   };
   for (const Event& e : stream) sink.onEvent(e);
-  const auto records = sink.records();
-  ASSERT_EQ(records.size(), 1u);
-  // Legacy semantics: the first exec start wins; TaskFailed never set a
-  // finish time.
-  EXPECT_DOUBLE_EQ(records[0].execStart, 1.0);
-  EXPECT_DOUBLE_EQ(records[0].startTime, 1.0);
-  EXPECT_DOUBLE_EQ(records[0].finishTime, -1.0);
+  const std::vector<TaskTimes> times = taskTimes(store, 1);
+  ASSERT_EQ(times.size(), 1u);
+  // The start covers the whole occupancy, first attempt included; a task
+  // that failed for good has no finish.
+  EXPECT_DOUBLE_EQ(times[0].start, 1.0);
+  EXPECT_DOUBLE_EQ(times[0].finish, -1.0);
 }
 
 // -- engine self-profiling ----------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/campaign.hpp"
+#include "mcsim/runner/jobs.hpp"
 #include "mcsim/workflows/survey.hpp"
 
 namespace mcsim::runner {
@@ -27,7 +28,6 @@ TEST(CampaignTest, AggregatesMatchTheShardResults) {
   const auto shards = makeShards(7, 3);
   CampaignOptions options;
   options.engine.processors = 8;
-  options.jobs = 0;
   const CampaignResult campaign = runCampaign(shards, options);
 
   ASSERT_EQ(campaign.shards, 3u);
@@ -65,7 +65,6 @@ TEST(CampaignTest, EmitsShardAndCampaignEvents) {
   obs::CollectingSink sink;
   CampaignOptions options;
   options.engine.processors = 4;
-  options.jobs = 0;
   options.observer = &sink;
   const CampaignResult campaign = runCampaign(shards, options);
 
@@ -95,9 +94,9 @@ TEST(CampaignTest, ResultsAreIdenticalAcrossWorkerCounts) {
   const auto shards = makeShards(6, 3);
   CampaignOptions serial;
   serial.engine.processors = 8;
-  serial.jobs = 0;
+  JobQueue pool({.workers = 3});
   CampaignOptions parallel = serial;
-  parallel.jobs = 3;
+  parallel.queue = &pool;
 
   const CampaignResult a = runCampaign(shards, serial);
   const CampaignResult b = runCampaign(shards, parallel);

@@ -1,6 +1,6 @@
 // The runner's headline guarantee, tested end to end: a sweep run on 8
-// worker threads is byte-identical to the serial legacy code path — same
-// points, same merged JSONL telemetry stream, same report.json per
+// worker threads is byte-identical to the same sweep on the calling thread
+// — same points, same merged JSONL telemetry stream, same report.json per
 // scenario.  ISSUE: "figures must never depend on the machine's core
 // count".
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/jsonl.hpp"
 #include "mcsim/obs/report.hpp"
+#include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/runner.hpp"
 
 namespace mcsim {
@@ -26,7 +27,8 @@ std::string sweepJsonl(const dag::Workflow& wf, int jobs) {
   obs::JsonlSink sink(os);
   analysis::ProvisioningSweepConfig config;
   config.processorCounts = {1, 2, 4, 8};
-  config.jobs = jobs;
+  runner::JobQueue queue({.workers = jobs});
+  config.queue = &queue;
   config.observer = &sink;
   analysis::provisioningSweep(wf, kAmazon, config);
   return os.str();
@@ -37,9 +39,9 @@ TEST(Determinism, ProvisioningPointsIdenticalAcrossJobs) {
   analysis::ProvisioningSweepConfig config;
   config.processorCounts = {1, 2, 4, 8, 16};
 
-  config.jobs = 0;
   const auto serial = analysis::provisioningSweep(wf, kAmazon, config);
-  config.jobs = 8;
+  runner::JobQueue pool({.workers = 8});
+  config.queue = &pool;
   const auto parallel = analysis::provisioningSweep(wf, kAmazon, config);
 
   ASSERT_EQ(serial.size(), parallel.size());
@@ -70,9 +72,9 @@ TEST(Determinism, MergedJsonlByteIdenticalAcrossJobs) {
 TEST(Determinism, DataModeRowsIdenticalAcrossJobs) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   analysis::DataModeComparisonConfig config;
-  config.jobs = 0;
   const auto serial = analysis::dataModeComparison(wf, kAmazon, config);
-  config.jobs = 8;
+  runner::JobQueue pool({.workers = 8});
+  config.queue = &pool;
   const auto parallel = analysis::dataModeComparison(wf, kAmazon, config);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -87,9 +89,9 @@ TEST(Determinism, CcrPointsIdenticalAcrossJobs) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   analysis::CcrSweepConfig config;
   config.ccrTargets = {0.1, 0.5, 2.0};
-  config.jobs = 0;
   const auto serial = analysis::ccrSweep(wf, kAmazon, config);
-  config.jobs = 8;
+  runner::JobQueue pool({.workers = 8});
+  config.queue = &pool;
   const auto parallel = analysis::ccrSweep(wf, kAmazon, config);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -102,9 +104,9 @@ TEST(Determinism, ReliabilityPointsIdenticalAcrossJobs) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   analysis::ReliabilityConfig rc;
   rc.mtbfSeconds = {600.0, 3600.0};
-  rc.jobs = 0;
   const auto serial = analysis::reliabilitySweep(wf, kAmazon, rc);
-  rc.jobs = 8;
+  runner::JobQueue pool({.workers = 8});
+  rc.queue = &pool;
   const auto parallel = analysis::reliabilitySweep(wf, kAmazon, rc);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -1,7 +1,7 @@
-// The tentpole compatibility contract: Runner::run / runScenarios now
-// delegate to a transient JobQueue, and a persistent JobQueue must produce
-// byte-identical results and merged telemetry to the legacy batch path —
-// for any worker count, with and without cache, seeds and profile.
+// One batch, any queue: runScenarios runs on a transient JobQueue, and a
+// persistent JobQueue must produce byte-identical results and merged
+// telemetry to it — for any worker count, with and without cache and
+// seeds, and while other jobs share the pool.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -66,12 +66,12 @@ TEST(JobsCompat, BatchWrapperMatchesJobQueueAcrossWorkerCounts) {
   const dag::Workflow wf = smallWorkflow();
   const std::vector<ScenarioSpec> specs = mixedBatch(wf);
 
-  obs::CollectingSink legacyEvents;
-  RunnerOptions legacy;
-  legacy.jobs = 0;  // exact serial legacy code path
-  legacy.observer = &legacyEvents;
-  const auto reference = runScenarios(specs, legacy);
-  const std::string referenceStream = serialize(legacyEvents.events());
+  obs::CollectingSink batchEvents;
+  RunnerOptions batch;
+  batch.jobs = 0;  // every scenario on this thread
+  batch.observer = &batchEvents;
+  const auto reference = runScenarios(specs, batch);
+  const std::string referenceStream = serialize(batchEvents.events());
 
   for (int workers : {0, 1, 2, 4, 8}) {
     JobQueueOptions qo;
@@ -95,10 +95,10 @@ TEST(JobsCompat, BaseSeedDerivationMatches) {
   for (ScenarioSpec& spec : specs)
     spec.config.faults.processor.mtbfSeconds = 4000.0;
 
-  RunnerOptions legacy;
-  legacy.jobs = 0;
-  legacy.baseSeed = 0xfeedface;
-  const auto reference = runScenarios(specs, legacy);
+  RunnerOptions batch;
+  batch.jobs = 0;
+  batch.baseSeed = 0xfeedface;
+  const auto reference = runScenarios(specs, batch);
 
   JobQueue queue({.workers = 4});
   JobOptions jobOptions;
@@ -111,10 +111,10 @@ TEST(JobsCompat, ConcurrentJobsDoNotPerturbEachOther) {
   const std::vector<ScenarioSpec> specs = mixedBatch(wf);
 
   obs::CollectingSink referenceEvents;
-  RunnerOptions legacy;
-  legacy.jobs = 0;
-  legacy.observer = &referenceEvents;
-  const auto reference = runScenarios(specs, legacy);
+  RunnerOptions batch;
+  batch.jobs = 0;
+  batch.observer = &referenceEvents;
+  const auto reference = runScenarios(specs, batch);
   const std::string referenceStream = serialize(referenceEvents.events());
 
   // Submit the same batch many times to one pool; every job must come back
@@ -142,14 +142,14 @@ TEST(JobsCompat, CacheStatsStreamMatchesLegacy) {
   const dag::Workflow wf = smallWorkflow();
   const std::vector<ScenarioSpec> specs = mixedBatch(wf);
 
-  ScenarioMemoCache legacyCache;
-  obs::CollectingSink legacyEvents;
-  RunnerOptions legacy;
-  legacy.jobs = 0;
-  legacy.cache = &legacyCache;
-  legacy.observer = &legacyEvents;
-  runScenarios(specs, legacy);
-  runScenarios(specs, legacy);  // warm pass emits hit-heavy stats
+  ScenarioMemoCache batchCache;
+  obs::CollectingSink batchEvents;
+  RunnerOptions batch;
+  batch.jobs = 0;
+  batch.cache = &batchCache;
+  batch.observer = &batchEvents;
+  runScenarios(specs, batch);
+  runScenarios(specs, batch);  // warm pass emits hit-heavy stats
 
   ScenarioMemoCache cache;
   JobQueueOptions qo;
@@ -162,7 +162,7 @@ TEST(JobsCompat, CacheStatsStreamMatchesLegacy) {
   queue.run(specs, jobOptions);
   queue.run(specs, jobOptions);
 
-  EXPECT_EQ(serialize(legacyEvents.events()), serialize(events.events()));
+  EXPECT_EQ(serialize(batchEvents.events()), serialize(events.events()));
 }
 
 // Acceptance: a 128-scenario repeated-submit ladder against a bounded

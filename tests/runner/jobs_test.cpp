@@ -5,6 +5,7 @@
 #include <atomic>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -150,6 +151,27 @@ TEST(JobQueue, FailureWinsAtLowestIndexAndRethrows) {
 
   // run() surfaces the stored exception directly.
   EXPECT_THROW(queue.run(specs), std::invalid_argument);
+}
+
+TEST(JobQueue, FailedJobMergesAndCachesNothing) {
+  // Inline mode and the pool run one loop: scenarios that finished before
+  // the failure reach neither the job's observer nor the shared cache.
+  const dag::Workflow wf = smallWorkflow();
+  std::vector<ScenarioSpec> specs = ladder(wf);
+  specs[2].config.processors = 0;
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ScenarioMemoCache cache;
+    JobQueue queue({.workers = workers, .cache = &cache});
+    obs::CollectingSink events;
+    JobRequest request;
+    request.scenarios = specs;
+    request.options.observer = &events;
+    const JobOutcome outcome = queue.wait(queue.submit(std::move(request)));
+    EXPECT_EQ(outcome.state, JobState::Failed);
+    EXPECT_TRUE(events.events().empty());
+    EXPECT_EQ(cache.stats().entries, 0u);
+  }
 }
 
 TEST(JobQueue, CancelQueuedJobResolvesWithoutRunning) {

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "mcsim/obs/sink.hpp"
+#include "mcsim/runner/jobs.hpp"
 #include "mcsim/serve/protocol.hpp"
 
 namespace mcsim::serve {
@@ -142,28 +146,48 @@ TEST(SimulationService, EightConcurrentRequestsStayByteIdentical) {
   }
 }
 
+/// An observer that parks the worker merging its job's events until the
+/// test opens it.  Only that one worker calls onEvent.
+struct GateSink final : obs::Sink {
+  void onEvent(const obs::Event&) override {
+    if (std::exchange(first, false)) entered.set_value();
+    opened.wait();
+  }
+  bool first = true;
+  std::promise<void> entered;
+  std::promise<void> open;
+  std::shared_future<void> opened = open.get_future().share();
+};
+
 TEST(SimulationService, BackpressureIsRetryable) {
-  // workers=1 and a depth-1 admission queue: hammering submits must produce
-  // at least one {"ok":false,"retryable":true} refusal and zero crashes.
+  // One worker and a depth-1 admission queue.  Hold the worker inside a job
+  // whose observer blocks, fill the one admission slot, and the next submit
+  // must come back as a retryable refusal.
   SimulationService service({.workers = 1, .maxQueuedJobs = 1});
-  int refused = 0;
-  std::vector<double> jobs;
-  for (int i = 0; i < 8; ++i) {
-    const json::JsonValue reply =
-        service.handle(submitVerb("montage:0.2", {1}));
-    if (reply.at("ok").asBool()) {
-      jobs.push_back(reply.at("job").asNumber());
-    } else {
-      EXPECT_EQ(reply.at("error").asString(), "queue full");
-      EXPECT_TRUE(reply.at("retryable").asBool());
-      ++refused;
-    }
-  }
-  EXPECT_GT(refused, 0);
-  for (double job : jobs) {
-    const json::JsonValue reply = service.handle(jobVerb("result", job));
-    EXPECT_TRUE(reply.at("ok").asBool());
-  }
+  const dag::Workflow wf = loadWorkflowSpec("montage:0.2");
+  GateSink gate;
+  runner::JobRequest held;
+  held.scenarios.push_back({&wf, {}, "held"});
+  held.options.observer = &gate;
+  const runner::JobId heldId = service.queue().submit(std::move(held));
+  gate.entered.get_future().wait();
+
+  const json::JsonValue queued =
+      service.handle(submitVerb("montage:0.2", {1}));
+  ASSERT_TRUE(queued.at("ok").asBool());
+  const json::JsonValue refused =
+      service.handle(submitVerb("montage:0.2", {2}));
+  EXPECT_FALSE(refused.at("ok").asBool());
+  EXPECT_EQ(refused.at("error").asString(), "queue full");
+  EXPECT_TRUE(refused.at("retryable").asBool());
+
+  // Every accepted job still finishes.
+  gate.open.set_value();
+  EXPECT_EQ(service.queue().wait(heldId).state, runner::JobState::Completed);
+  const json::JsonValue reply =
+      service.handle(jobVerb("result", queued.at("job").asNumber()));
+  EXPECT_TRUE(reply.at("ok").asBool());
+  EXPECT_EQ(reply.at("state").asString(), "completed");
 }
 
 TEST(SimulationService, EventsComeBackIsolatedPerRequest) {

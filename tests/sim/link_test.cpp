@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <vector>
+
+#include "mcsim/obs/sink.hpp"
 
 namespace mcsim::sim {
 namespace {
@@ -172,6 +177,42 @@ TEST_F(LinkTest, ManyConcurrentTransfersConserveBytes) {
   EXPECT_EQ(completed, n);
   EXPECT_NEAR(link.totalBytesTransferred().value(), totalBytes, 1.0);
   EXPECT_NEAR(sim.now(), totalBytes / 1.25e6, 1e-6);
+}
+
+/// Throws once the calendar has fired `budget` events, so a link that
+/// reschedules forever at one instant fails its test instead of hanging it.
+struct EventBudget final : obs::Sink {
+  explicit EventBudget(std::size_t budget) : left(budget) {}
+  void onEvent(const obs::Event&) override {
+    if (left-- == 0) throw std::runtime_error("event budget exhausted");
+  }
+  bool accepts(obs::EventKind kind) const override {
+    return kind == obs::EventKind::SimEventFired;
+  }
+  std::size_t left;
+};
+
+TEST(LinkResidue, SubUlpDelayStillCompletes) {
+  // At t = 2^18 s one ulp is 2^-34 s (~5.8e-11 s); 2e-5 B at 1.25 MB/s
+  // needs 1.6e-11 s, under half of it, so now + delay == now.  The link
+  // must fire one ulp later and finish rather than reschedule at `now`.
+  const double start = 262144.0;
+  for (LinkSchedule schedule :
+       {LinkSchedule::Incremental, LinkSchedule::Reference}) {
+    Simulator sim;
+    EventBudget budget(1000);
+    sim.setObserver(&budget);
+    Link link(sim, LinkConfig{.bandwidthBytesPerSec = 1.25e6,
+                              .schedule = schedule});
+    double done = -1.0;
+    sim.schedule(start, [&] {
+      link.startTransfer(Bytes(2e-5), [&] { done = sim.now(); });
+    });
+    ASSERT_NO_THROW(sim.run());
+    EXPECT_EQ(done,
+              std::nextafter(start, std::numeric_limits<double>::infinity()));
+    EXPECT_EQ(link.completedTransfers(), 1u);
+  }
 }
 
 }  // namespace

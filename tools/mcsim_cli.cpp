@@ -1,7 +1,7 @@
 // mcsim — command-line front-end to the simulator.
 //
 //   mcsim info     --workflow montage:2
-//   mcsim simulate --workflow montage:1 --mode cleanup --procs 8 [--trace out.json]
+//   mcsim simulate --workflow montage:1 --mode cleanup --procs 8 [--trace-out t.json]
 //   mcsim sweep    --workflow montage:4 [--procs 1,2,4,...]
 //   mcsim modes    --workflow cybershake
 //   mcsim ccr      --workflow montage:1 --procs 8 --targets 0.053,0.5,2
@@ -61,8 +61,7 @@ common options:
   --mode <m>          remote-io | regular | cleanup        (default regular)
   --bandwidth <mbps>  user<->storage link                  (default 10)
   --targets <list>    CCR targets for `ccr`
-  --out <path>        output file for `dax` / --trace
-  --trace <path>      (simulate) write a Chrome trace JSON
+  --out <path>        output file for `dax`
   --trace-out <path>  (simulate/explain) write the causal span trace as
                       Perfetto/Chrome trace-event JSON
   --mctrace-out <p>   (simulate/explain) write the span trace in the compact
@@ -77,8 +76,8 @@ common options:
   --top <n>           (explain) rows in the top-task table (default 10)
   --json              (explain) machine-readable mcsim.explain.v1 JSON
   --jobs <n>          worker threads for sweep / modes / ccr /
-                      reliability; 0 = serial (exact legacy code
-                      path, useful for debugging)
+                      reliability / optimize / survey / serve; 0 = run
+                      every scenario on the calling thread
                       (default: hardware concurrency)
   --log-level <l>     debug | info | warn | error | off     (default warn)
   --csv               machine-readable output where supported
@@ -250,7 +249,6 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
   cfg.mode = parseMode(args.valueOr("mode", "regular"));
   cfg.processors = args.intOr("procs", 8);
   cfg.linkBandwidthBytesPerSec = args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  cfg.trace = true;
   cfg.profile = args.hasFlag("profile");
   applyFaultFlags(cfg, args);
 
@@ -263,22 +261,17 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
     setLogSink(telemetry->sink());
   }
 
-  // --trace-out / --mctrace-out: fold the run into a causal span trace.
-  const auto traceOut = args.value("trace-out");
-  const auto mctraceOut = args.value("mctrace-out");
+  // The causal span trace feeds the level table, --trace-out and
+  // --mctrace-out.
   obs::TraceStore store;
-  std::optional<obs::SpanSink> spanSink;
-  obs::FanOutSink observers;
-  if (traceOut || mctraceOut) {
-    spanSink.emplace(store, analysis::traceTopology(wf));
-    observers.add(&*spanSink);
-  }
+  obs::SpanSink spanSink(store, analysis::traceTopology(wf));
+  obs::FanOutSink observers({&spanSink});
   if (telemetry) observers.add(telemetry->sink());
-  if (observers.childCount() > 0) cfg.observer = &observers;
+  cfg.observer = &observers;
 
   const auto result = engine::simulateWorkflow(wf, cfg);
   std::cout << engine::summarize(wf, result) << "\n\n";
-  engine::printLevelSummary(std::cout, wf, result);
+  engine::printLevelSummary(std::cout, wf, store);
   if (result.processorCrashes + result.tasksFailed + result.tasksAbandoned >
           0 ||
       result.deadlineExceeded) {
@@ -308,13 +301,8 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
               << ")\n";
   }
 
-  if (const auto tracePath = args.value("trace")) {
-    std::ofstream out(*tracePath);
-    if (!out) throw std::runtime_error("cannot write " + *tracePath);
-    engine::writeChromeTrace(out, wf, result);
-    std::cout << "chrome trace written to " << *tracePath
-              << " (open in chrome://tracing)\n";
-  }
+  const auto traceOut = args.value("trace-out");
+  const auto mctraceOut = args.value("mctrace-out");
   if (traceOut) {
     std::ofstream out(*traceOut);
     if (!out) throw std::runtime_error("cannot write " + *traceOut);
@@ -383,8 +371,8 @@ int cmdExplain(const dag::Workflow& wf, const ArgParser& args) {
   return 0;
 }
 
-/// --jobs for the sweep-style commands; default = all hardware threads,
-/// 0 = serial (the exact legacy single-threaded code path).
+/// --jobs: the worker count of the one JobQueue a sweep-style command runs
+/// on; default = all hardware threads, 0 = the calling thread.
 int parseJobs(const ArgParser& args) {
   const int jobs = args.intOr("jobs", runner::defaultJobs());
   if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
@@ -397,7 +385,8 @@ int cmdSweep(const dag::Workflow& wf, const ArgParser& args) {
     config.processorCounts = parseIntList(*list);
   config.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  config.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.queue = &queue;
   const auto points =
       analysis::provisioningSweep(wf, selectPricing(args), config);
   analysis::provisioningTable(points).print(std::cout);
@@ -409,7 +398,8 @@ int cmdModes(const dag::Workflow& wf, const ArgParser& args) {
   config.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
   config.processorOverride = args.intOr("procs", 0);
-  config.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.queue = &queue;
   const auto rows =
       analysis::dataModeComparison(wf, selectPricing(args), config);
   analysis::dataModeTable(rows).print(std::cout);
@@ -422,7 +412,8 @@ int cmdCcr(const dag::Workflow& wf, const ArgParser& args) {
   if (const auto list = args.value("targets"))
     config.ccrTargets = parseDoubleList(*list);
   config.processors = args.intOr("procs", 8);
-  config.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.queue = &queue;
   const auto points =
       analysis::ccrSweep(wf, selectPricing(args), config);
   analysis::ccrTable(points).print(std::cout);
@@ -439,7 +430,8 @@ int cmdReliability(const dag::Workflow& wf, const ArgParser& args) {
   rc.processorOverride = args.intOr("procs", 0);
   rc.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  rc.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  rc.queue = &queue;
   const auto points =
       analysis::reliabilitySweep(wf, selectPricing(args), rc);
   analysis::reliabilityTable(points).print(std::cout);
@@ -509,7 +501,8 @@ int cmdSurvey(const ArgParser& args) {
   options.engine.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
   applyFaultFlags(options.engine, args);
-  options.jobs = jobs;
+  runner::JobQueue queue({.workers = jobs});
+  options.queue = &queue;
 
   const auto simStart = std::chrono::steady_clock::now();
   const runner::CampaignResult campaign = runner::runCampaign(shardWfs, options);
@@ -720,7 +713,8 @@ int cmdOptimize(const dag::Workflow& wf, const ArgParser& args) {
   config.requestsPerMonth = args.numberOr("requests-per-month", 0.0);
   config.base.linkBandwidthBytesPerSec =
       args.numberOr("bandwidth", 10.0) * 1e6 / 8.0;
-  config.jobs = parseJobs(args);
+  runner::JobQueue queue({.workers = parseJobs(args)});
+  config.queue = &queue;
 
   const analysis::OptimizeResult result =
       analysis::optimizePlacement(wf, catalog, config);
@@ -761,7 +755,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     ArgParser args({"workflow", "procs", "mode", "bandwidth", "targets",
-                    "out", "trace", "trace-out", "mctrace-out",
+                    "out", "trace-out", "mctrace-out",
                     "telemetry-dir", "sample-period", "log-level", "mtbf",
                     "retries", "retry-policy", "retry-delay", "jitter",
                     "deadline", "fault-seed", "jobs", "billing", "top",
