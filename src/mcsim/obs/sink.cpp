@@ -1,5 +1,6 @@
 #include "mcsim/obs/sink.hpp"
 
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -67,6 +68,100 @@ const char* eventName(EventKind kind) {
   return "unknown";
 }
 
+namespace {
+
+/// Empty chunks released by finished streams, reused by the next stream on
+/// any thread.  glibc gives each worker thread its own malloc arena, and a
+/// block freed into one arena serves only that arena's later allocations;
+/// the runner captures a stream on one worker and a cache eviction frees it
+/// on another, so without this every worker's arena would grow to its own
+/// peak.  Holds at most kMaxPooled chunks (64 MiB); the rest go back to
+/// malloc.
+class ChunkPool {
+ public:
+  static constexpr std::size_t kMaxPooled = 1024;
+
+  std::vector<Event> take() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        std::vector<Event> chunk = std::move(free_.back());
+        free_.pop_back();
+        return chunk;
+      }
+    }
+    std::vector<Event> chunk;
+    chunk.reserve(EventStream::kChunkEvents);
+    return chunk;
+  }
+
+  /// Takes the (already cleared) chunks it has room for.
+  void give(std::vector<std::vector<Event>>& chunks) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::vector<Event>& chunk : chunks) {
+      if (free_.size() == kMaxPooled) break;
+      free_.push_back(std::move(chunk));
+    }
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::vector<Event>> free_;
+};
+
+/// Never destroyed: streams owned by static objects (a process-wide job
+/// queue's memo cache) may release their chunks during static destruction.
+ChunkPool& chunkPool() {
+  static ChunkPool* const pool = new ChunkPool;
+  return *pool;
+}
+
+}  // namespace
+
+EventStream::EventStream(EventStream&& other) noexcept
+    : chunks_(std::move(other.chunks_)),
+      size_(std::exchange(other.size_, 0)) {}
+
+EventStream& EventStream::operator=(EventStream&& other) noexcept {
+  if (this != &other) {
+    release();
+    chunks_ = std::move(other.chunks_);
+    other.chunks_.clear();
+    size_ = std::exchange(other.size_, 0);
+  }
+  return *this;
+}
+
+EventStream::~EventStream() { release(); }
+
+void EventStream::release() {
+  if (chunks_.empty()) return;
+  for (std::vector<Event>& chunk : chunks_) chunk.clear();
+  chunkPool().give(chunks_);
+  chunks_.clear();
+  size_ = 0;
+}
+
+void EventStream::push(const Event& event) {
+  if (chunks_.empty() || chunks_.back().size() == kChunkEvents)
+    chunks_.push_back(chunkPool().take());
+  chunks_.back().push_back(event);
+  ++size_;
+}
+
+std::vector<Event> EventStream::toVector() const {
+  std::vector<Event> out;
+  out.reserve(size_);
+  forEach([&](const Event& e) { out.push_back(e); });
+  return out;
+}
+
+void Sink::onStream(const EventStream& stream) {
+  stream.forEach([this](const Event& e) {
+    if (accepts(kind(e))) onEvent(e);
+  });
+}
+
 FanOutSink::FanOutSink(std::vector<Sink*> sinks) {
   for (Sink* s : sinks) add(s);
 }
@@ -79,6 +174,10 @@ void FanOutSink::onEvent(const Event& event) {
   const EventKind k = kind(event);
   for (Sink* s : sinks_)
     if (s->accepts(k)) s->onEvent(event);
+}
+
+void FanOutSink::onStream(const EventStream& stream) {
+  for (Sink* s : sinks_) s->onStream(stream);
 }
 
 bool FanOutSink::accepts(EventKind kind) const {
@@ -98,6 +197,11 @@ MutexSink::MutexSink(Sink& inner) : inner_(inner) {}
 void MutexSink::onEvent(const Event& event) {
   std::lock_guard<std::mutex> lock(mutex_);
   inner_.onEvent(event);
+}
+
+void MutexSink::onStream(const EventStream& stream) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  inner_.onStream(stream);
 }
 
 bool MutexSink::accepts(EventKind kind) const {

@@ -7,20 +7,68 @@
 // transfer progress, billing attribution bookkeeping) ask before building
 // the payload, so a sink that only wants task lifecycle events does not tax
 // the hot paths.  accepts() must be stable for the lifetime of a run.
+//
+// onStream() is the batch entry point: the runner replays one scenario's
+// whole captured EventStream in a single call, so a sink shared across
+// threads (MutexSink) takes its lock once per scenario and never sees two
+// scenarios' events interleaved.
 #pragma once
 
 #include <cstddef>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "mcsim/obs/event.hpp"
 
 namespace mcsim::obs {
 
+/// An append-only event stream stored in fixed-size chunks of kChunkEvents
+/// events (64 KiB).  Appending never moves or copies recorded events.  A
+/// destroyed stream hands its chunks to a process-wide pool that the next
+/// stream on any thread draws from, so captured streams do not fragment
+/// the per-thread malloc arenas.  Move-only: a captured stream is handed
+/// on, never duplicated by accident.
+class EventStream {
+ public:
+  static constexpr std::size_t kChunkEvents = 1024;
+
+  EventStream() = default;
+  EventStream(EventStream&& other) noexcept;
+  EventStream& operator=(EventStream&& other) noexcept;
+  EventStream(const EventStream&) = delete;
+  EventStream& operator=(const EventStream&) = delete;
+  ~EventStream();
+
+  void push(const Event& event);
+  std::size_t size() const { return size_; }
+  /// Bytes held by the chunks: their capacity, not just the events used.
+  std::size_t capacityBytes() const {
+    return chunks_.size() * kChunkEvents * sizeof(Event);
+  }
+  /// Call `f(event)` for every event, in order.
+  template <class F>
+  void forEach(F&& f) const {
+    for (const std::vector<Event>& chunk : chunks_)
+      for (const Event& e : chunk) f(e);
+  }
+  /// A contiguous copy of the events.
+  std::vector<Event> toVector() const;
+
+ private:
+  void release();
+
+  std::vector<std::vector<Event>> chunks_;  ///< Each reserved to kChunkEvents.
+  std::size_t size_ = 0;
+};
+
 class Sink {
  public:
   virtual ~Sink() = default;
   virtual void onEvent(const Event& event) = 0;
+  /// Deliver a whole captured stream.  Default: onEvent for each event
+  /// this sink accepts(), in order.
+  virtual void onStream(const EventStream& stream);
   /// Would this sink do anything with events of `kind`?  Default: yes.
   virtual bool accepts(EventKind kind) const {
     (void)kind;
@@ -47,16 +95,29 @@ class FanOutSink final : public Sink {
   std::size_t childCount() const { return sinks_.size(); }
 
   void onEvent(const Event& event) override;
+  /// Forwards the whole stream to each child in turn.
+  void onStream(const EventStream& stream) override;
   bool accepts(EventKind kind) const override;
 
  private:
   std::vector<Sink*> sinks_;
 };
 
-/// Appends every event to an unbounded in-memory vector — the runner's
-/// per-scenario capture buffer (replayed into the shared observer at join)
-/// and a convenient test double.  Prefer RingBufferSink when only the tail
-/// of a long run matters.
+/// Records every event into an EventStream — the runner's per-scenario
+/// capture buffer, replayed into the job's observer at join.
+class StreamSink final : public Sink {
+ public:
+  void onEvent(const Event& event) override { stream_.push(event); }
+  /// Move the stream out, leaving the sink empty.
+  EventStream take() { return std::exchange(stream_, {}); }
+
+ private:
+  EventStream stream_;
+};
+
+/// Appends every event to an unbounded in-memory vector — a convenient
+/// test double.  Prefer RingBufferSink when only the tail of a long run
+/// matters.
 class CollectingSink final : public Sink {
  public:
   void onEvent(const Event& event) override;
@@ -79,6 +140,8 @@ class MutexSink final : public Sink {
   explicit MutexSink(Sink& inner);
 
   void onEvent(const Event& event) override;
+  /// Delivers the whole stream under one acquisition of the lock.
+  void onStream(const EventStream& stream) override;
   bool accepts(EventKind kind) const override;
 
   /// The serializing mutex, for callers that must read the *inner* sink's

@@ -34,9 +34,10 @@ void validateSpecs(const std::vector<ScenarioSpec>& specs) {
   }
 }
 
-/// Execute scenario `i` into `out`, capturing its events when asked.
+/// Execute scenario `i` into `out`, capturing its events into `stream`
+/// when asked.
 void runOne(const ScenarioSpec& spec, std::size_t i, std::uint64_t baseSeed,
-            bool capture, ScenarioResult& out) {
+            bool capture, ScenarioResult& out, obs::EventStream& stream) {
   out.index = i;
   out.label = spec.label;
   engine::EngineConfig cfg = spec.config;
@@ -45,21 +46,18 @@ void runOne(const ScenarioSpec& spec, std::size_t i, std::uint64_t baseSeed,
   // breaking merge determinism and memo-cache replay; runner-level profiling
   // lives in JobOptions::profile instead.
   cfg.profile = false;
-  obs::CollectingSink collector;
+  obs::StreamSink collector;
   cfg.observer = capture ? &collector : nullptr;
   out.result = engine::simulateWorkflow(*spec.workflow, cfg);
-  out.events = collector.take();
+  stream = collector.take();
 }
 
-/// Replay one scenario's stream into the job's observer, then drop the
-/// buffer unless the caller asked to keep it.
-void mergeOne(ScenarioResult& r, obs::Sink* observer, bool keepEvents) {
-  if (observer != nullptr)
-    for (const obs::Event& e : r.events) observer->onEvent(e);
-  if (!keepEvents) {
-    r.events.clear();
-    r.events.shrink_to_fit();
-  }
+/// Replay one scenario's stream into the job's observer in one call, and
+/// copy it into the result only when the caller asked to keep it.
+void mergeOne(ScenarioResult& r, const obs::EventStream& stream,
+              obs::Sink* observer, bool keepEvents) {
+  if (observer != nullptr) observer->onStream(stream);
+  if (keepEvents) r.events = stream.toVector();
 }
 
 constexpr std::size_t kRunFresh = std::numeric_limits<std::size_t>::max();
@@ -67,24 +65,27 @@ constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 
 /// Serve scenario `i` from a cache entry (a prior-run hit or an in-batch
 /// duplicate's representative), preserving the scenario's own identity.
-void fillFromEntry(ScenarioMemoCache::Entry entry, const ScenarioSpec& spec,
-                   std::size_t i, ScenarioResult& out) {
+/// Copies only the result; the stream is replayed from the shared entry.
+void fillFromEntry(const ScenarioMemoCache::Entry& entry,
+                   const ScenarioSpec& spec, std::size_t i,
+                   ScenarioResult& out) {
   out.index = i;
   out.label = spec.label;
-  out.result = std::move(entry.result);
-  out.events = std::move(entry.events);
+  out.result = entry.result;
   out.fromCache = true;
 }
 
 /// Classification of a job against the memo cache, computed serially at
 /// activation so hit/miss accounting and results never depend on worker
-/// scheduling.  Cache-hit scenarios are filled into `results` directly;
-/// duplicates point at an earlier representative; everything else lands in
-/// `toRun`.
+/// scheduling.  Cache-hit scenarios are filled into `results` directly and
+/// hold their entry in `entries`; duplicates point at an earlier
+/// representative; everything else lands in `toRun`.
 struct CachePlan {
   std::vector<std::uint64_t> keys;
   std::vector<std::size_t> dupOf;  ///< Representative index, or kRunFresh.
   std::vector<std::size_t> toRun;
+  /// The entry whose stream scenario i replays; null until it has one.
+  std::vector<ScenarioMemoCache::EntryPtr> entries;
 };
 
 CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
@@ -95,16 +96,20 @@ CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
   CachePlan plan;
   plan.keys.resize(n);
   plan.dupOf.assign(n, kRunFresh);
+  plan.entries.resize(n);
   // Workflow fingerprints are content hashes; memoize per pointer since
-  // sweeps share one workflow across hundreds of scenarios.
+  // sweeps share one workflow across hundreds of scenarios, and take the
+  // caller's precomputed one when the spec carries it.
   // mcsim-lint: allow(ptr-key) — identity-keyed amortization cache (one
   // fingerprint per distinct Workflow object); looked up only, never
   // iterated, so address order cannot reach any output.
   std::unordered_map<const dag::Workflow*, std::uint64_t> workflowFp;
   std::unordered_map<std::uint64_t, std::size_t> repByKey;
   for (std::size_t i = 0; i < n; ++i) {
-    auto [it, fresh] = workflowFp.try_emplace(specs[i].workflow, 0);
-    if (fresh) it->second = fingerprintWorkflow(*specs[i].workflow);
+    auto [it, fresh] =
+        workflowFp.try_emplace(specs[i].workflow, specs[i].workflowFingerprint);
+    if (fresh && it->second == 0)
+      it->second = fingerprintWorkflow(*specs[i].workflow);
     engine::EngineConfig cfg = specs[i].config;
     if (baseSeed != 0) cfg.faults.seed = deriveSeed(baseSeed, i);
     plan.keys[i] =
@@ -117,7 +122,8 @@ CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
       continue;
     }
     if (auto entry = cache.lookup(plan.keys[i])) {  // counts hit or miss
-      fillFromEntry(std::move(*entry), specs[i], i, results[i]);
+      fillFromEntry(*entry, specs[i], i, results[i]);
+      plan.entries[i] = std::move(entry);
       continue;
     }
     repByKey.emplace(plan.keys[i], i);
@@ -126,14 +132,17 @@ CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
   return plan;
 }
 
-/// Store a freshly simulated representative.  The capture flag is part of
-/// the key, so an event-free entry can never serve a capturing caller.
-void insertEntry(ScenarioMemoCache& cache, std::uint64_t key,
-                 const ScenarioResult& r, bool capture) {
+/// Store a freshly simulated representative, moving its captured stream
+/// into the entry.  The capture flag is part of the key, so an event-free
+/// entry can never serve a capturing caller.
+ScenarioMemoCache::EntryPtr insertEntry(ScenarioMemoCache& cache,
+                                        std::uint64_t key,
+                                        const ScenarioResult& r,
+                                        obs::EventStream stream) {
   ScenarioMemoCache::Entry entry;
   entry.result = r.result;
-  if (capture) entry.events = r.events;
-  cache.insert(key, std::move(entry));
+  entry.events = std::move(stream);
+  return cache.insert(key, std::move(entry));
 }
 
 /// Per-job cache statistics, appended after the merged streams.  Hits and
@@ -230,6 +239,9 @@ struct JobQueue::Job {
   bool finalized = false;  ///< A worker owns finalization (or it is done).
   CachePlan plan;
   std::vector<ScenarioResult> results;
+  /// Freshly captured streams, by scenario index; moved into the cache
+  /// entry when there is a cache.
+  std::vector<obs::EventStream> streams;
   std::size_t nextItem = 0;  ///< Next unclaimed index into plan.toRun.
   std::size_t inFlight = 0;
   std::size_t completedScenarios = 0;
@@ -465,6 +477,7 @@ void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
   emitLifecycle(options_.observer, obs::JobStarted{job.id});
   const std::size_t n = job.request.scenarios.size();
   job.results.resize(n);
+  job.streams.resize(n);
   if (options_.cache != nullptr) {
     // Fingerprinting is O(workflow bytes): classify outside the lock.  The
     // activating worker owns the job until `planned` flips, so results[]
@@ -527,7 +540,7 @@ void JobQueue::executeItem(Job& job, int worker,
   const double t0 = job.profileOn ? wallNow() : 0.0;
   try {
     runOne(job.request.scenarios[i], i, job.request.options.baseSeed,
-           job.capture, job.results[i]);
+           job.capture, job.results[i], job.streams[i]);
   } catch (...) {
     failure = std::current_exception();
   }
@@ -565,22 +578,24 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
   if (!failed && !cancelled) {
     if (options_.cache != nullptr) {
       for (std::size_t i : job.plan.toRun)
-        insertEntry(*options_.cache, job.plan.keys[i], job.results[i],
-                    job.capture);
-      // Duplicates are served from their representative's in-job result,
-      // immune to concurrent LRU eviction of the just-inserted entry.
+        job.plan.entries[i] =
+            insertEntry(*options_.cache, job.plan.keys[i], job.results[i],
+                        std::move(job.streams[i]));
+      // Duplicates are served from their representative's entry, which the
+      // job holds: immune to concurrent LRU eviction.
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t rep = job.plan.dupOf[i];
         if (rep == kRunFresh) continue;
-        ScenarioMemoCache::Entry entry;
-        entry.result = job.results[rep].result;
-        if (job.capture) entry.events = job.results[rep].events;
-        fillFromEntry(std::move(entry), job.request.scenarios[i], i,
+        job.plan.entries[i] = job.plan.entries[rep];
+        fillFromEntry(*job.plan.entries[i], job.request.scenarios[i], i,
                       job.results[i]);
       }
     }
-    for (ScenarioResult& r : job.results)
-      mergeOne(r, jo.observer, jo.keepEvents);
+    for (std::size_t i = 0; i < n; ++i)
+      mergeOne(job.results[i],
+               options_.cache != nullptr ? job.plan.entries[i]->events
+                                         : job.streams[i],
+               jo.observer, jo.keepEvents);
     if (options_.cache != nullptr)
       emitJobCacheStats(*options_.cache, n - job.plan.toRun.size(),
                         job.plan.toRun.size(), jo.observer);
@@ -591,6 +606,11 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
                   n - job.plan.toRun.size(), jobWall);
     }
   }
+
+  // Release the streams now: the job lingers until wait(), and its entries
+  // would pin evicted cache memory.
+  std::vector<obs::EventStream>().swap(job.streams);
+  std::vector<ScenarioMemoCache::EntryPtr>().swap(job.plan.entries);
 
   lock.lock();
   if (failed) {

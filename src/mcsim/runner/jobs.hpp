@@ -22,10 +22,19 @@
 //    new scenarios, drains its in-flight ones, and resolves Cancelled with
 //    no results.  Other jobs are unaffected — their bytes do not change.
 //
+// Merging: each scenario is captured into a chunked obs::EventStream, and
+// finalization hands each scenario's stream to the job's observer in one
+// obs::Sink::onStream call, in ascending index.  With a cache, a fresh
+// stream moves into its shared, immutable memo entry and hits replay from
+// the entry; the job holds every entry it replays until finalization, so
+// eviction cannot pull one away.  Streams are copied only for keepEvents.
+//
 // The queue emits control-plane lifecycle events (obs::JobSubmitted /
 // JobStarted / JobFinished, time < 0) to its own observer — never into a
 // job's per-request stream.  Attach metrics or JSONL sinks through
-// obs::MutexSink: finalization runs on whichever worker finishes last.
+// obs::MutexSink: finalization runs on whichever worker finishes last, and
+// MutexSink delivers each scenario stream under one lock, so concurrent
+// jobs never interleave inside the shared sink.
 #pragma once
 
 #include <condition_variable>

@@ -143,12 +143,11 @@ std::uint64_t combineFingerprints(std::uint64_t workflowFingerprint,
 namespace {
 
 /// Approximate resident footprint of one entry: the struct itself plus the
-/// dominant heap vectors (event stream, storage curve).
-/// Strings inside log events are not chased — this is a capacity signal,
-/// not an allocator audit.
+/// dominant heap blocks (event-stream chunks at full capacity, storage
+/// curve).  Strings inside log events are not chased — this is a capacity
+/// signal, not an allocator audit.
 std::size_t approxEntryBytes(const ScenarioMemoCache::Entry& entry) {
-  return sizeof(ScenarioMemoCache::Entry) +
-         entry.events.size() * sizeof(obs::Event) +
+  return sizeof(ScenarioMemoCache::Entry) + entry.events.capacityBytes() +
          entry.result.storageCurve.eventCount() * sizeof(UsageEvent);
 }
 
@@ -176,24 +175,23 @@ void ScenarioMemoCache::evictOverCapacityLocked() {
   }
 }
 
-std::optional<ScenarioMemoCache::Entry> ScenarioMemoCache::lookup(
+ScenarioMemoCache::EntryPtr ScenarioMemoCache::lookup(
     std::uint64_t key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
   touch(it->second);
   return it->second.entry;
 }
 
-std::optional<ScenarioMemoCache::Entry> ScenarioMemoCache::peek(
-    std::uint64_t key) const {
+ScenarioMemoCache::EntryPtr ScenarioMemoCache::peek(std::uint64_t key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
+  if (it == entries_.end()) return nullptr;
   touch(it->second);
   return it->second.entry;
 }
@@ -203,33 +201,36 @@ bool ScenarioMemoCache::contains(std::uint64_t key) const {
   return entries_.find(key) != entries_.end();
 }
 
-void ScenarioMemoCache::insert(std::uint64_t key, Entry entry) {
+ScenarioMemoCache::EntryPtr ScenarioMemoCache::insert(std::uint64_t key,
+                                                      Entry entry) {
+  const std::size_t entryBytes = approxEntryBytes(entry);
+  auto shared = std::make_shared<const Entry>(std::move(entry));
   std::lock_guard<std::mutex> lock(mutex_);
   // Fingerprint stability: re-running a memoized scenario must reproduce the
   // cached result.  A mismatch here means either the fingerprint missed a
   // config field (two scenarios collided) or the engine went nondeterministic.
   const auto it = entries_.find(key);
   MCSIM_ASSERT(it == entries_.end() ||
-                   (it->second.entry.result.makespanSeconds ==
-                        entry.result.makespanSeconds &&
-                    it->second.entry.events.size() == entry.events.size()),
+                   (it->second.entry->result.makespanSeconds ==
+                        shared->result.makespanSeconds &&
+                    it->second.entry->events.size() == shared->events.size()),
                "memo key ", key, " re-inserted with a different result");
-  const std::size_t entryBytes = approxEntryBytes(entry);
   if (it != entries_.end()) {
     bytes_ -= it->second.bytes;
-    it->second.entry = std::move(entry);
+    it->second.entry = shared;
     it->second.bytes = entryBytes;
     touch(it->second);
   } else {
     lru_.push_front(key);
     Node node;
-    node.entry = std::move(entry);
+    node.entry = shared;
     node.bytes = entryBytes;
     node.recency = lru_.begin();
     entries_.emplace(key, std::move(node));
   }
   bytes_ += entryBytes;
   evictOverCapacityLocked();
+  return shared;
 }
 
 void ScenarioMemoCache::recordBatchHits(std::size_t n) {

@@ -11,6 +11,14 @@
 // identical to a fresh run by construction, and enforced by the determinism
 // replay harness.
 //
+// Entries are shared and immutable: the cache holds a
+// std::shared_ptr<const Entry>, and lookup/peek hand out that same pointer.
+// A hit copies only the ExecutionResult and replays the stream straight from
+// the shared entry; a miss moves its captured stream into the new entry.
+// An entry evicted while a job still holds it stays valid until the job
+// lets go.  Streams are obs::EventStream chunks, so an entry never holds a
+// multi-megabyte contiguous buffer.
+//
 // Capacity: a default-constructed cache is unbounded (the batch-sweep
 // behavior since PR 4).  A server cache is constructed with
 // MemoCacheOptions bounds — max resident entries and/or approximate max
@@ -29,12 +37,11 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
-#include <vector>
 
 #include "mcsim/engine/engine.hpp"
-#include "mcsim/obs/event.hpp"
+#include "mcsim/obs/sink.hpp"
 
 namespace mcsim::dag {
 class Workflow;
@@ -96,27 +103,28 @@ class ScenarioMemoCache {
     /// The scenario's full event stream; recorded only when the producing
     /// run captured events (the capture flag is part of the key, so a hit
     /// always matches the caller's capture shape).
-    std::vector<obs::Event> events;
+    obs::EventStream events;
   };
+  using EntryPtr = std::shared_ptr<const Entry>;
 
   ScenarioMemoCache() = default;
   explicit ScenarioMemoCache(MemoCacheOptions options) : options_(options) {}
 
   const MemoCacheOptions& options() const { return options_; }
 
-  /// Copy of the entry for `key`, or nullopt.  Counts a hit or miss and
+  /// The shared entry for `key`, or null.  Counts a hit or miss and
   /// refreshes the entry's recency.
-  std::optional<Entry> lookup(std::uint64_t key) const;
-  /// Like lookup but never touches the hit/miss counters — used by the
-  /// runner to serve in-batch duplicates it has already accounted for.
-  /// Still refreshes recency.
-  std::optional<Entry> peek(std::uint64_t key) const;
+  EntryPtr lookup(std::uint64_t key) const;
+  /// Like lookup but never touches the hit/miss counters.  Still refreshes
+  /// recency.
+  EntryPtr peek(std::uint64_t key) const;
   /// True if `key` is resident, without touching counters or recency.
   bool contains(std::uint64_t key) const;
   /// Insert or overwrite the entry for `key`, then evict least-recently-
-  /// used entries until the configured bounds hold.  A bounded cache may
-  /// evict the inserted entry itself when it alone exceeds maxBytes.
-  void insert(std::uint64_t key, Entry entry);
+  /// used entries until the configured bounds hold.  Returns the stored
+  /// entry, which stays valid even when a bounded cache evicts it at once
+  /// (it alone exceeds maxBytes).
+  EntryPtr insert(std::uint64_t key, Entry entry);
   /// Count `n` scenarios served from in-batch deduplication as hits.
   void recordBatchHits(std::size_t n);
 
@@ -126,7 +134,7 @@ class ScenarioMemoCache {
 
  private:
   struct Node {
-    Entry entry;
+    EntryPtr entry;
     std::size_t bytes = 0;
     /// Position in lru_; std::list splice never invalidates iterators.
     std::list<std::uint64_t>::iterator recency;

@@ -61,6 +61,10 @@ struct ScenarioSpec {
   const dag::Workflow* workflow = nullptr;
   engine::EngineConfig config;
   std::string label;  ///< Optional; carried through to the result.
+  /// fingerprintWorkflow(*workflow) when the caller already knows it (the
+  /// serve daemon's workflow store computes it once per workflow); 0 means
+  /// the memo cache computes it.
+  std::uint64_t workflowFingerprint = 0;
 };
 
 /// The outcome of one scenario, at its spec's index.

@@ -1,5 +1,6 @@
 #include "mcsim/serve/protocol.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -7,6 +8,7 @@
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
 #include "mcsim/montage/factory.hpp"
+#include "mcsim/runner/memo.hpp"
 #include "mcsim/workflows/gallery.hpp"
 
 namespace mcsim::serve {
@@ -30,6 +32,12 @@ std::uint64_t asUint(const json::JsonValue& v, const char* what) {
   return static_cast<std::uint64_t>(d);
 }
 
+/// Specs whose workflow is built by code, not read from a file.
+bool isGeneratorSpec(const std::string& spec) {
+  return spec.rfind("montage:", 0) == 0 || spec == "cybershake" ||
+         spec == "epigenomics" || spec == "inspiral" || spec == "sipht";
+}
+
 }  // namespace
 
 dag::Workflow loadWorkflowSpec(const std::string& spec) {
@@ -42,15 +50,68 @@ dag::Workflow loadWorkflowSpec(const std::string& spec) {
   return dag::readDaxFile(spec);
 }
 
-SubmitRequest parseSubmitRequest(const json::JsonValue& request) {
+std::list<WorkflowStore::Interned>::iterator WorkflowStore::findLocked(
+    const std::string& spec) {
+  return std::find_if(lru_.begin(), lru_.end(),
+                      [&](const Interned& e) { return e.spec == spec; });
+}
+
+ResolvedWorkflow WorkflowStore::resolve(const std::string& spec) {
+  if (!isGeneratorSpec(spec))
+    return {std::make_shared<const dag::Workflow>(loadWorkflowSpec(spec)), 0};
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = findLocked(spec); it != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, it);
+      return it->resolved;
+    }
+  }
+  auto workflow = std::make_shared<const dag::Workflow>(loadWorkflowSpec(spec));
+  const std::size_t tasks = workflow->taskCount();
+  if (tasks > kMaxTasks) return {std::move(workflow), 0};
+  ResolvedWorkflow built{workflow, runner::fingerprintWorkflow(*workflow)};
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // Another request may have interned the same spec while this one built.
+  if (const auto it = findLocked(spec); it != lru_.end()) {
+    lru_.splice(lru_.begin(), lru_, it);
+    return it->resolved;
+  }
+  lru_.push_front({spec, built});
+  tasks_ += tasks;
+  while (lru_.size() > kMaxWorkflows || tasks_ > kMaxTasks) {
+    tasks_ -= lru_.back().resolved.workflow->taskCount();
+    lru_.pop_back();
+  }
+  return built;
+}
+
+std::size_t WorkflowStore::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return lru_.size();
+}
+
+std::size_t WorkflowStore::residentTasks() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return tasks_;
+}
+
+SubmitRequest parseSubmitRequest(const json::JsonValue& request,
+                                 WorkflowStore* store) {
   if (!request.isObject())
     throw std::runtime_error("serve: submit 'request' must be an object");
   if (!request.has("workflow") || !request.at("workflow").isString())
     throw std::runtime_error("serve: submit needs a 'workflow' spec string");
 
   SubmitRequest out;
-  out.workflows.push_back(std::make_shared<const dag::Workflow>(
-      loadWorkflowSpec(request.at("workflow").asString())));
+  const std::string& workflowSpec = request.at("workflow").asString();
+  ResolvedWorkflow resolved =
+      store != nullptr
+          ? store->resolve(workflowSpec)
+          : ResolvedWorkflow{std::make_shared<const dag::Workflow>(
+                                 loadWorkflowSpec(workflowSpec)),
+                             0};
+  out.workflows.push_back(std::move(resolved.workflow));
   const dag::Workflow& wf = *out.workflows.back();
 
   if (!request.has("scenarios") || !request.at("scenarios").isArray() ||
@@ -63,6 +124,7 @@ SubmitRequest parseSubmitRequest(const json::JsonValue& request) {
       throw std::runtime_error("serve: each scenario must be an object");
     runner::ScenarioSpec spec;
     spec.workflow = &wf;
+    spec.workflowFingerprint = resolved.fingerprint;
     if (s.has("mode")) spec.config.mode = parseDataMode(s.at("mode").asString());
     if (s.has("processors")) {
       const double p = s.at("processors").asNumber();

@@ -21,13 +21,17 @@
 // scraper can mount the socket without speaking the JSON protocol.
 //
 // This header is the shared half: the request model, the workflow spec
-// loader (one syntax for --workflow flags and "workflow" fields), and the
-// scenario-result serializer used by the service, the CLI client and the
-// golden tests — byte-identical result rendering everywhere.
+// loader (one syntax for --workflow flags and "workflow" fields), the
+// daemon's workflow store, and the scenario-result serializer used by the
+// service, the CLI client and the golden tests — byte-identical result
+// rendering everywhere.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,6 +51,45 @@ namespace mcsim::serve {
 /// std::invalid_argument / std::runtime_error on unknown specs.
 dag::Workflow loadWorkflowSpec(const std::string& spec);
 
+/// A workflow resolved from a spec, with its runner::fingerprintWorkflow
+/// value (0 = not computed; the memo cache computes it).
+struct ResolvedWorkflow {
+  std::shared_ptr<const dag::Workflow> workflow;
+  std::uint64_t fingerprint = 0;
+};
+
+/// Interns immutable workflows built from generator specs ("montage:<x>"
+/// and the four gallery names) so repeated requests share one workflow and
+/// one fingerprint, computed once when the workflow is interned.  A bounded
+/// LRU keyed by the spec string: at most kMaxWorkflows workflows and
+/// kMaxTasks resident tasks.  A workflow over the task budget, and every
+/// DAX path (the file can change between requests), is built for its
+/// request and not retained.  Thread-safe; builds run outside the lock.
+class WorkflowStore {
+ public:
+  static constexpr std::size_t kMaxWorkflows = 16;
+  static constexpr std::size_t kMaxTasks = std::size_t{1} << 18;
+
+  /// The interned workflow for `spec`, building it on first use.  Throws
+  /// like loadWorkflowSpec.
+  ResolvedWorkflow resolve(const std::string& spec);
+
+  std::size_t size() const;
+  std::size_t residentTasks() const;
+
+ private:
+  struct Interned {
+    std::string spec;
+    ResolvedWorkflow resolved;
+  };
+
+  std::list<Interned>::iterator findLocked(const std::string& spec);
+
+  mutable std::mutex mutex_;
+  std::list<Interned> lru_;  ///< Most recently used first.
+  std::size_t tasks_ = 0;
+};
+
 /// A parsed submit payload: scenario specs pointing into `workflows`, which
 /// must stay alive as long as the specs are in use (hand both to
 /// runner::JobRequest — `keepAlive` exists for exactly this).
@@ -61,7 +104,10 @@ struct SubmitRequest {
 
 /// Parse the "request" object of a submit verb.  Throws std::runtime_error
 /// on malformed payloads (missing workflow, empty scenarios, unknown mode).
-SubmitRequest parseSubmitRequest(const json::JsonValue& request);
+/// With a `store`, the workflow and its fingerprint come from it; without
+/// one the workflow is built for this request.
+SubmitRequest parseSubmitRequest(const json::JsonValue& request,
+                                 WorkflowStore* store = nullptr);
 
 /// Serialize one scenario result the way the serve protocol reports it:
 /// execution metrics plus a usage-billed cost breakdown.  Shared with tests

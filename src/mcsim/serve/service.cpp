@@ -103,7 +103,7 @@ json::JsonValue SimulationService::handleSubmit(
     const json::JsonValue& request) {
   if (!request.has("request"))
     return errorResponse(request, "submit needs a 'request' object");
-  SubmitRequest sub = parseSubmitRequest(request.at("request"));
+  SubmitRequest sub = parseSubmitRequest(request.at("request"), &workflows_);
 
   auto session = std::make_unique<Session>();
   if (sub.events) session->jsonl.emplace(session->os);
@@ -180,12 +180,16 @@ json::JsonValue SimulationService::handleCancel(
 }
 
 std::string SimulationService::metricsText() {
+  // Read the cache and queue before taking the metrics lock: the queue emits
+  // lifecycle events into that lock while holding its own mutex, so taking
+  // them in the other order here could deadlock a scrape against a submit.
+  const runner::MemoStats stats = cache_.stats();
+  const std::size_t queued = queue_.queuedJobs();
   const std::lock_guard<std::mutex> lock(sharedMetrics_.mutex());
   // Event-driven instruments are only as fresh as the last finalized job;
   // refresh the instantaneous ones at scrape time.  Names and help strings
   // mirror the MetricsSink registrations, so these resolve to the same
   // instruments the event path updates.
-  const runner::MemoStats stats = cache_.stats();
   registry_
       .gauge("mcsim_cache_entries", "Memo-cache population after the batch")
       .set(static_cast<double>(stats.entries));
@@ -197,7 +201,7 @@ std::string SimulationService::metricsText() {
              "Cumulative LRU evictions over the cache lifetime")
       .set(static_cast<double>(stats.evictions));
   registry_.gauge("mcsim_jobs_queued", "Jobs waiting for a worker")
-      .set(static_cast<double>(queue_.queuedJobs()));
+      .set(static_cast<double>(queued));
   std::ostringstream os;
   registry_.writePrometheus(os);
   return os.str();

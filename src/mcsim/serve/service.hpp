@@ -1,9 +1,11 @@
 // SimulationService: the transport-independent core of `mcsim serve`.
 //
-// One service owns the whole server-side stack — a capacity-bounded
-// ScenarioMemoCache shared across requests, a persistent runner::JobQueue,
-// and a MetricsRegistry fed by a mutex-wrapped MetricsSink that observes
-// both the queue's lifecycle events and every job's merged scenario stream.
+// One service owns the whole server-side stack — a WorkflowStore that
+// interns generator-spec workflows with their fingerprints, a
+// capacity-bounded ScenarioMemoCache shared across requests, a persistent
+// runner::JobQueue, and a MetricsRegistry fed by a mutex-wrapped
+// MetricsSink that observes both the queue's lifecycle events and every
+// job's merged scenario stream.
 // handle() maps one protocol request (see protocol.hpp) to one response;
 // the daemon, the CLI client loopback tests and the unit tests all talk to
 // this same object, so the socket layer stays a dumb byte pump.
@@ -13,7 +15,13 @@
 // the submit asked for "events":true) and never interleaves with another
 // request's stream.  The shared metrics sink sits behind obs::MutexSink,
 // so the Prometheus exposition aggregates all requests while each job's
-// own stream stays byte-deterministic.
+// own stream stays byte-deterministic.  Each scenario's stream reaches it
+// in one obs::Sink::onStream call under one lock, so the MetricsSink's
+// per-task wait/exec pairing never sees two scenarios interleaved.
+//
+// A cache hit costs a store lookup, a cache lookup, a copy of the
+// ExecutionResult and one replay of the shared entry's stream: no workflow
+// build, no fingerprint, no stream copy.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +36,7 @@
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/jobs.hpp"
 #include "mcsim/runner/memo.hpp"
+#include "mcsim/serve/protocol.hpp"
 #include "mcsim/util/json.hpp"
 
 namespace mcsim::serve {
@@ -66,6 +75,7 @@ class SimulationService {
   const ServiceOptions& options() const { return options_; }
   runner::JobQueue& queue() { return queue_; }
   const runner::ScenarioMemoCache& cache() const { return cache_; }
+  const WorkflowStore& workflows() const { return workflows_; }
 
  private:
   /// Per-job telemetry session: the job's private merged stream, captured
@@ -80,6 +90,7 @@ class SimulationService {
   static runner::JobId parseJobId(const json::JsonValue& request);
 
   ServiceOptions options_;
+  WorkflowStore workflows_;
   runner::ScenarioMemoCache cache_;
   obs::MetricsRegistry registry_;
   obs::MetricsSink metricsSink_;

@@ -128,5 +128,69 @@ TEST(CollectingSink, TakeDrainsTheBuffer) {
   EXPECT_EQ(sink.size(), 0u);
 }
 
+TEST(EventStream, ChunksKeepArrivalOrderAcrossBoundaries) {
+  StreamSink sink;
+  const std::uint32_t n = 2 * EventStream::kChunkEvents + 3;
+  for (std::uint32_t i = 0; i < n; ++i) sink.onEvent(taskReady(i, i));
+  const EventStream stream = sink.take();
+  EXPECT_EQ(sink.take().size(), 0u);  // take() drained the sink
+
+  ASSERT_EQ(stream.size(), n);
+  // Three chunks of 1,024 events, 64 KiB each, counted at full capacity.
+  EXPECT_EQ(stream.capacityBytes(), 3 * 64 * 1024u);
+  std::uint32_t next = 0;
+  stream.forEach([&](const Event& e) {
+    EXPECT_EQ(std::get<TaskReady>(e.payload).task, next++);
+  });
+  EXPECT_EQ(next, n);
+  const std::vector<Event> copy = stream.toVector();
+  ASSERT_EQ(copy.size(), n);
+  EXPECT_EQ(std::get<TaskReady>(copy.back().payload).task, n - 1);
+}
+
+TEST(EventStream, ReusedChunksStartEmpty) {
+  // A released stream's chunks go to the shared pool; the next stream draws
+  // them and must see only its own events.
+  for (std::uint32_t round = 0; round < 3; ++round) {
+    StreamSink sink;
+    for (std::uint32_t i = 0; i < EventStream::kChunkEvents + 1; ++i)
+      sink.onEvent(taskReady(round, round * 10000 + i));
+    EventStream stream = sink.take();
+    EventStream moved = std::move(stream);
+    ASSERT_EQ(moved.size(), EventStream::kChunkEvents + 1);
+    EXPECT_EQ(moved.capacityBytes(), 2 * 64 * 1024u);
+    std::uint32_t next = round * 10000;
+    moved.forEach([&](const Event& e) {
+      EXPECT_EQ(std::get<TaskReady>(e.payload).task, next++);
+    });
+  }
+}
+
+TEST(EventStream, OnStreamDeliversAcceptedEventsInOrder) {
+  StreamSink capture;
+  capture.onEvent(taskReady(0.0, 1));
+  capture.onEvent(Event{0.0, TransferStarted{1, 10.0, 1}});
+  capture.onEvent(taskReady(1.0, 2));
+  const EventStream stream = capture.take();
+
+  // The default batch entry point filters by accepts().
+  RecordingSink wantsTasks({EventKind::TaskReady});
+  wantsTasks.onStream(stream);
+  EXPECT_EQ(wantsTasks.seen,
+            (std::vector<EventKind>{EventKind::TaskReady, EventKind::TaskReady}));
+
+  // Fan-out and mutex wrappers forward the whole stream.
+  RecordingSink wantsAll;
+  RecordingSink behindMutex;
+  MutexSink guarded(behindMutex);
+  FanOutSink fan({&wantsAll, &guarded});
+  fan.onStream(stream);
+  const std::vector<EventKind> all = {EventKind::TaskReady,
+                                      EventKind::TransferStarted,
+                                      EventKind::TaskReady};
+  EXPECT_EQ(wantsAll.seen, all);
+  EXPECT_EQ(behindMutex.seen, all);
+}
+
 }  // namespace
 }  // namespace mcsim::obs

@@ -223,11 +223,64 @@ TEST(ScenarioMemoCacheTest, BaseSeedKeepsFaultScenariosDistinct) {
   EXPECT_EQ(stats.entries, 3u);
 }
 
+TEST(ScenarioMemoCacheTest, LookupsShareOneImmutableEntry) {
+  ScenarioMemoCache cache(MemoCacheOptions{/*maxEntries=*/1, 0});
+  ScenarioMemoCache::Entry entry;
+  entry.result.makespanSeconds = 42.0;
+  entry.events.push(obs::Event{1.0, obs::TaskReady{3}});
+  const ScenarioMemoCache::EntryPtr stored = cache.insert(1, std::move(entry));
+
+  const ScenarioMemoCache::EntryPtr a = cache.lookup(1);
+  const ScenarioMemoCache::EntryPtr b = cache.lookup(1);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(a.get(), stored.get());
+  EXPECT_EQ(cache.peek(1).get(), a.get());
+
+  // Evicted while held: the cache lets go, the holder still reads it.
+  cache.insert(2, {});
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_EQ(cache.lookup(1), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(a->result.makespanSeconds, 42.0);
+  ASSERT_EQ(a->events.size(), 1u);
+  a->events.forEach([](const obs::Event& e) {
+    EXPECT_EQ(std::get<obs::TaskReady>(e.payload).task, 3u);
+  });
+}
+
+TEST(ScenarioMemoCacheTest, InBatchDuplicatesOutliveEvictionOfTheirEntry) {
+  // A one-entry cache evicts the first representative as soon as the second
+  // is inserted; its in-batch duplicates replay from the entry the job holds.
+  const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
+  const auto specs = montageBatch(wf, 2);
+
+  ScenarioMemoCache cache(MemoCacheOptions{/*maxEntries=*/1, 0});
+  RunnerOptions options;
+  options.jobs = 0;
+  options.keepEvents = true;
+  options.cache = &cache;
+  const auto results = runScenarios(specs, options);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+
+  RunnerOptions plain;
+  plain.jobs = 0;
+  plain.keepEvents = true;
+  const auto fresh = runScenarios(specs, plain);
+  ASSERT_EQ(results.size(), fresh.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].fromCache, i >= 2);
+    EXPECT_EQ(results[i].result.makespanSeconds,
+              fresh[i].result.makespanSeconds);
+    EXPECT_EQ(toJsonl(results[i].events), toJsonl(fresh[i].events)) << i;
+  }
+}
+
 TEST(ScenarioMemoCacheTest, ClearResetsEverything) {
   ScenarioMemoCache cache;
   cache.insert(1, {});
-  cache.lookup(1);
-  cache.lookup(2);
+  EXPECT_NE(cache.lookup(1), nullptr);
+  EXPECT_EQ(cache.lookup(2), nullptr);
   cache.clear();
   const MemoStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);

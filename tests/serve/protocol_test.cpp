@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/metrics.hpp"
+#include "mcsim/runner/memo.hpp"
 #include "mcsim/runner/runner.hpp"
 
 namespace mcsim::serve {
@@ -71,6 +73,71 @@ TEST(ParseSubmitRequest, RejectsMalformedPayloads) {
       parseSubmitRequest(json::parseJson(
           R"({"workflow":"montage:0.2","scenarios":[{"processors":0}]})")),
       std::runtime_error);
+}
+
+TEST(WorkflowStore, SameSpecSubmittedTwiceSharesOneWorkflow) {
+  WorkflowStore store;
+  const json::JsonValue request = json::parseJson(
+      R"({"workflow":"montage:1","scenarios":[{"processors":4}]})");
+  const SubmitRequest first = parseSubmitRequest(request, &store);
+  const SubmitRequest second = parseSubmitRequest(request, &store);
+  EXPECT_EQ(first.workflows[0].get(), second.workflows[0].get());
+  EXPECT_EQ(second.scenarios[0].workflow, first.workflows[0].get());
+  EXPECT_NE(second.scenarios[0].workflowFingerprint, 0u);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.residentTasks(), first.workflows[0]->taskCount());
+  // Without a store every request builds its own workflow.
+  EXPECT_NE(parseSubmitRequest(request).workflows[0].get(),
+            first.workflows[0].get());
+  EXPECT_EQ(parseSubmitRequest(request).scenarios[0].workflowFingerprint, 0u);
+}
+
+TEST(WorkflowStore, FingerprintIsTheWorkflowFingerprint) {
+  WorkflowStore store;
+  for (const char* spec :
+       {"montage:0.2", "montage:1", "montage:2", "montage:4", "cybershake",
+        "epigenomics", "inspiral", "sipht"}) {
+    SCOPED_TRACE(spec);
+    const ResolvedWorkflow resolved = store.resolve(spec);
+    EXPECT_EQ(resolved.fingerprint,
+              runner::fingerprintWorkflow(loadWorkflowSpec(spec)));
+    EXPECT_EQ(resolved.fingerprint,
+              runner::fingerprintWorkflow(*resolved.workflow));
+  }
+  EXPECT_EQ(store.size(), 8u);
+}
+
+TEST(WorkflowStore, BoundsHold) {
+  WorkflowStore store;
+  const ResolvedWorkflow oldest = store.resolve("montage:0.1");
+  for (int i = 1; i <= 16; ++i)
+    store.resolve("montage:0.1" + std::to_string(i));  // 17 distinct specs
+  EXPECT_EQ(store.size(), WorkflowStore::kMaxWorkflows);
+  // The least recently used one was evicted: resolving it builds anew.
+  EXPECT_NE(store.resolve("montage:0.1").workflow.get(),
+            oldest.workflow.get());
+  EXPECT_EQ(store.size(), WorkflowStore::kMaxWorkflows);
+}
+
+TEST(WorkflowStore, OverBudgetWorkflowIsBuiltButNotKept) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "Release builds only: the Montage factory's fan-in tasks "
+                  "make a 275,000-task build take minutes unoptimized and "
+                  "under sanitizers";
+#endif
+  WorkflowStore store;
+  const ResolvedWorkflow huge = store.resolve("montage:38");
+  EXPECT_GT(huge.workflow->taskCount(), WorkflowStore::kMaxTasks);
+  EXPECT_EQ(huge.fingerprint, 0u);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.residentTasks(), 0u);
+}
+
+TEST(WorkflowStore, DaxPathsAreNeverInterned) {
+  WorkflowStore store;
+  EXPECT_ANY_THROW(store.resolve("/no/such/file.dax"));
+  EXPECT_ANY_THROW(store.resolve("montage:bogus"));
+  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(ScenarioResultJson, MatchesBatchRunByteForByte) {

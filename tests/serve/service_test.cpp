@@ -7,12 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <filesystem>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "mcsim/dag/dax.hpp"
+#include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/jobs.hpp"
 #include "mcsim/serve/protocol.hpp"
@@ -270,6 +276,120 @@ TEST(SimulationService, MetricsExposeCacheAndJobInstruments) {
   EXPECT_NE(text.find("mcsim_job_scenarios_total 4"), std::string::npos)
       << text;
   EXPECT_NE(text.find("mcsim_jobs_queued 0"), std::string::npos) << text;
+}
+
+TEST(SimulationService, MetricsScrapeReadsQueueAndCacheOutsideItsLock) {
+  // Scrapes race submits: the scrape must not hold the metrics lock while
+  // it waits for the queue, which emits lifecycle events into that lock.
+  SimulationService service({.workers = 2});
+  std::thread scraper([&] {
+    for (int i = 0; i < 200; ++i) (void)service.metricsText();
+  });
+  for (int i = 0; i < 20; ++i) {
+    const json::JsonValue submitted =
+        service.handle(submitVerb("montage:0.2", {1 + i % 4}));
+    ASSERT_TRUE(submitted.at("ok").asBool());
+    service.handle(jobVerb("result", submitted.at("job").asNumber()));
+  }
+  scraper.join();
+  EXPECT_NE(service.metricsText().find("mcsim_jobs_completed_total 20"),
+            std::string::npos);
+}
+
+/// The value of the sample `name` in a Prometheus exposition.
+double sample(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no sample " << name;
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return std::stod(text.substr(at + key.size()));
+}
+
+/// A one-scenario montage:1 submit with its own fault seed: no faults, but
+/// a distinct cache key, so every job simulates.
+json::JsonValue seededSubmit(std::uint64_t faultSeed) {
+  json::JsonObject scenario;
+  scenario["mode"] = std::string("regular");
+  scenario["processors"] = 8;
+  scenario["fault_seed"] = faultSeed;
+  json::JsonObject request;
+  request["workflow"] = std::string("montage:1");
+  request["scenarios"] = json::JsonArray{json::JsonValue(std::move(scenario))};
+  json::JsonObject verb;
+  verb["verb"] = std::string("submit");
+  verb["request"] = std::move(request);
+  return json::JsonValue(std::move(verb));
+}
+
+TEST(SimulationService, ConcurrentJobsKeepTaskHistogramsExact) {
+  // The metrics sink pairs each task's ready/start and exec/finish events by
+  // task id.  Jobs finishing at once must not interleave their streams in
+  // it, or observations pair across scenarios and go missing.
+  constexpr int kThreads = 3;
+  constexpr int kJobsPerThread = 60;
+  const auto exposition = [&](int workers) {
+    SimulationService service({.workers = workers});
+    const auto client = [&](int t) {
+      for (int j = 0; j < kJobsPerThread; ++j) {
+        const json::JsonValue submitted = service.handle(
+            seededSubmit(static_cast<std::uint64_t>(t * kJobsPerThread + j + 1)));
+        ASSERT_TRUE(submitted.at("ok").asBool());
+        const json::JsonValue reply =
+            service.handle(jobVerb("result", submitted.at("job").asNumber()));
+        ASSERT_EQ(reply.at("state").asString(), "completed");
+      }
+    };
+    if (workers == 0) {
+      for (int t = 0; t < kThreads; ++t) client(t);
+    } else {
+      std::vector<std::thread> clients;
+      for (int t = 0; t < kThreads; ++t) clients.emplace_back(client, t);
+      for (std::thread& c : clients) c.join();
+    }
+    return service.metricsText();
+  };
+
+  const std::string pooled = exposition(4);
+  const std::string serial = exposition(0);
+  EXPECT_EQ(sample(pooled, "mcsim_task_wait_seconds_count"),
+            sample(pooled, "mcsim_tasks_started_total"));
+  EXPECT_EQ(sample(pooled, "mcsim_task_exec_seconds_count"),
+            sample(pooled, "mcsim_tasks_finished_total"));
+  EXPECT_EQ(sample(pooled, "mcsim_tasks_started_total"),
+            sample(serial, "mcsim_tasks_started_total"));
+  for (const char* sum :
+       {"mcsim_task_wait_seconds_sum", "mcsim_task_exec_seconds_sum"}) {
+    SCOPED_TRACE(sum);
+    const double expected = sample(serial, sum);
+    EXPECT_GT(expected, 0.0);
+    EXPECT_NEAR(sample(pooled, sum), expected, 1e-9 * expected);
+  }
+}
+
+TEST(SimulationService, RewrittenDaxFileGivesTheNewResult) {
+  // DAX paths are read for every request, never interned: the file may
+  // change between two submits.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mcsim_service_rewrite.dax")
+          .string();
+  SimulationService service({.workers = 1});
+  std::vector<std::string> rendered;
+  for (double degrees : {0.2, 0.4}) {
+    dag::writeDaxFile(montage::buildMontageWorkflow(degrees), path);
+    const json::JsonValue submitted = service.handle(submitVerb(path, {4}));
+    ASSERT_TRUE(submitted.at("ok").asBool());
+    const json::JsonValue reply =
+        service.handle(jobVerb("result", submitted.at("job").asNumber()));
+    ASSERT_TRUE(reply.at("ok").asBool());
+    rendered.push_back(json::dumpJson(scrubProvenance(reply.at("results"))));
+    EXPECT_EQ(rendered.back(),
+              batchGolden(path, {4}, service.options().pricing));
+  }
+  EXPECT_NE(rendered[0], rendered[1]);
+  EXPECT_EQ(service.workflows().size(), 0u);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
