@@ -1,11 +1,14 @@
-// perf_core: wall-clock benchmark of the hot-path simulation-core overhaul.
+// perf_core: wall-clock benchmark of the simulation core.
 //
 // Two comparisons, both before/after on identical workloads:
 //
-//   1. single-run — one 4-degree Montage execution on the reference core
-//      (EngineConfig::referenceCore = true: lazy-deletion priority-queue
-//      calendar, O(n)-rescan link) vs. the optimized core (arena heap,
-//      virtual-time link, flat storage curves).
+//   1. core replay — the link traffic of one 4-degree Montage run (cleanup
+//      mode, fair share, 8 processors) replayed on the production core
+//      (arena-heap calendar, virtual-time link) and on the test oracle's
+//      reference core (lazy-deletion priority-queue calendar, O(n)-rescan
+//      link).  Only the calendar and link layers run — the two layers the
+//      oracle differs in — so the engine, processor pool and storage around
+//      them are not in the timing.
 //   2. sweep — a repeated-point provisioning ladder (the planner's access
 //      pattern: the same ladder re-evaluated per goal) with the scenario
 //      memo cache off vs. on.
@@ -17,15 +20,19 @@
 //                     [--out BENCH_core.json]
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "mcsim/runner/jobs.hpp"
+#include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/memo.hpp"
+#include "mcsim/sim/link.hpp"
+#include "mcsim/sim/simulator.hpp"
+#include "tests/support/oracle.hpp"
 
 namespace {
 
@@ -44,24 +51,6 @@ std::string argText(int argc, char** argv, const std::string& flag,
   for (int i = 1; i + 1 < argc; ++i)
     if (argv[i] == "--" + flag) return argv[i + 1];
   return fallback;
-}
-
-/// Relative agreement for differential checks: the virtual-time link
-/// accumulates shares in a different floating-point order than the
-/// reference rescan, so exact equality is only promised same-core.
-bool close(double a, double b) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= 1e-6 * scale;
-}
-
-bool sameResult(const engine::ExecutionResult& a,
-                const engine::ExecutionResult& b) {
-  return a.completed() == b.completed() &&
-         close(a.makespanSeconds, b.makespanSeconds) &&
-         close(a.cpuBusySeconds, b.cpuBusySeconds) &&
-         close(a.storageByteSeconds, b.storageByteSeconds) &&
-         close(a.bytesIn.value(), b.bytesIn.value()) &&
-         close(a.bytesOut.value(), b.bytesOut.value());
 }
 
 bool samePoints(const std::vector<analysis::ProvisioningPoint>& a,
@@ -105,28 +94,36 @@ int main(int argc, char** argv) {
   const dag::Workflow wf = montage::buildMontageWorkflow(degrees);
   const cloud::Pricing pricing = cloud::ProviderCatalog::builtin().pricing("amazon-2008");
 
-  // -- 1. single-run: reference core vs optimized core ----------------------
+  // -- 1. core replay: production calendar + link vs the test oracle -------
   engine::EngineConfig single;
   single.mode = engine::DataMode::DynamicCleanup;
   single.processors = 8;
   single.linkSharing = sim::LinkSharing::FairShare;
+  const oracle::LinkScript script = oracle::recordLinkScript(wf, single);
 
-  std::cout << "perf_core: single-run " << wf.name() << " ("
-            << wf.taskCount() << " tasks), best of " << repeat << "\n";
+  std::cout << "perf_core: core replay of " << wf.name() << " ("
+            << wf.taskCount() << " tasks, " << script.actions.size()
+            << " link actions), best of " << repeat << "\n";
 
-  engine::ExecutionResult refResult, fastResult;
-  single.referenceCore = true;
-  const double refSeconds = bestOf(
-      repeat, [&] { refResult = engine::simulateWorkflow(wf, single); });
-  single.referenceCore = false;
-  const double fastSeconds = bestOf(
-      repeat, [&] { fastResult = engine::simulateWorkflow(wf, single); });
-  const bool singleIdentical = sameResult(refResult, fastResult);
-  const double singleSpeedup =
+  const double refSeconds = bestOf(repeat, [&] {
+    oracle::replayLinkScript<oracle::ReferenceCalendar, oracle::ReferenceLink>(
+        script, nullptr);
+  });
+  const double fastSeconds = bestOf(repeat, [&] {
+    oracle::replayLinkScript<sim::Simulator, sim::Link>(script, nullptr);
+  });
+  obs::CollectingSink refEvents, fastEvents;
+  oracle::replayLinkScript<oracle::ReferenceCalendar, oracle::ReferenceLink>(
+      script, &refEvents);
+  oracle::replayLinkScript<sim::Simulator, sim::Link>(script, &fastEvents);
+  const std::string disagreement =
+      oracle::replayDisagreement(fastEvents.events(), refEvents.events());
+  const bool replayAgree = disagreement.empty();
+  const double replaySpeedup =
       fastSeconds > 0.0 ? refSeconds / fastSeconds : 0.0;
   std::cout << "  reference " << refSeconds << " s, optimized " << fastSeconds
-            << " s, speedup " << singleSpeedup << "x, agree "
-            << (singleIdentical ? "yes" : "NO") << "\n";
+            << " s, speedup " << replaySpeedup << "x, agree "
+            << (replayAgree ? "yes" : "NO: " + disagreement) << "\n";
 
   // -- 2. repeated-point sweep: memo cache off vs on ------------------------
   analysis::ProvisioningSweepConfig sweep;
@@ -171,13 +168,14 @@ int main(int argc, char** argv) {
   out << "{\n"
       << "  \"benchmark\": \"core_overhaul\",\n"
       << "  \"repeats\": " << repeat << ",\n"
-      << "  \"single_run\": {\n"
+      << "  \"core_replay\": {\n"
       << "    \"workflow\": \"" << wf.name() << "\",\n"
       << "    \"tasks\": " << wf.taskCount() << ",\n"
+      << "    \"link_actions\": " << script.actions.size() << ",\n"
       << "    \"reference_seconds\": " << refSeconds << ",\n"
       << "    \"optimized_seconds\": " << fastSeconds << ",\n"
-      << "    \"speedup\": " << singleSpeedup << ",\n"
-      << "    \"results_agree\": " << (singleIdentical ? "true" : "false")
+      << "    \"speedup\": " << replaySpeedup << ",\n"
+      << "    \"results_agree\": " << (replayAgree ? "true" : "false")
       << "\n"
       << "  },\n"
       << "  \"memo_sweep\": {\n"
@@ -195,5 +193,5 @@ int main(int argc, char** argv) {
   out.close();
 
   std::cout << "wrote " << outPath << "\n";
-  return (singleIdentical && sweepIdentical) ? 0 : 1;
+  return (replayAgree && sweepIdentical) ? 0 : 1;
 }

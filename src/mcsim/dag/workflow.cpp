@@ -63,11 +63,20 @@ void Workflow::addInput(TaskId task, FileId file) {
     throw std::invalid_argument("Workflow::addInput: task '" +
                                 tasks_[task].name + "' produces '" +
                                 files_[file].name + "'");
+  // Until finalize, addInput is the only writer of both lists, so "file is
+  // in the task's inputs" and "task is in the file's consumers" are the same
+  // test: scan the shorter list, keeping a fan-in task's build linear.
   auto& ins = tasks_[task].inputs;
-  if (std::find(ins.begin(), ins.end(), file) != ins.end())
+  auto& consumers = files_[file].consumers;
+  const bool duplicate =
+      ins.size() <= consumers.size()
+          ? std::find(ins.begin(), ins.end(), file) != ins.end()
+          : std::find(consumers.begin(), consumers.end(), task) !=
+                consumers.end();
+  if (duplicate)
     throw std::invalid_argument("Workflow::addInput: duplicate input binding");
   ins.push_back(file);
-  files_[file].consumers.push_back(task);
+  consumers.push_back(task);
 }
 
 void Workflow::addOutput(TaskId task, FileId file) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -243,8 +245,9 @@ MontageParams montage4DegreeParams() {
 }
 
 MontageParams paramsForDegrees(double degrees) {
-  if (!(degrees > 0.0))
-    throw std::invalid_argument("montage: degrees must be positive");
+  if (!(degrees > 0.0) || !std::isfinite(degrees))
+    throw std::invalid_argument("montage: degrees must be positive and "
+                                "finite (got " + std::to_string(degrees) + ")");
   // Catalog lookup keyed on the exact user-supplied survey sizes; anything
   // else falls through to interpolation below.
   // mcsim-lint: allow(float-equality)
@@ -256,8 +259,18 @@ MontageParams paramsForDegrees(double degrees) {
   p.name = "montage-" + std::to_string(degrees) + "deg";
   p.degrees = degrees;
   // Image count grows with mosaic area (presets: ~44 images per square
-  // degree); keep the grid near the presets' column/row aspect.
-  const int images = std::max(4, static_cast<int>(std::lround(43.75 * degrees * degrees)));
+  // degree); keep the grid near the presets' column/row aspect.  The count
+  // is checked in double before any int cast: the largest count the grid
+  // derives, the file count 5n + d + 7 with d <= 2.35n, must fit in int,
+  // which it does not past about 2,477 degrees.
+  const double imageCount =
+      std::max(4.0, std::round(43.75 * degrees * degrees));
+  if (8.0 * imageCount > static_cast<double>(std::numeric_limits<int>::max()))
+    throw std::invalid_argument(
+        "montage: " + std::to_string(degrees) +
+        " degrees is too large: its image grid overflows the workflow's int "
+        "counts");
+  const int images = static_cast<int>(imageCount);
   int cols = std::max(2, static_cast<int>(std::lround(std::sqrt(images * 1.4))));
   int rows = std::max(2, (images + cols - 1) / cols);
   p.gridCols = cols;

@@ -31,8 +31,7 @@ double completionThreshold(double totalBytes) {
 Link::Link(Simulator& sim, const LinkConfig& config)
     : sim_(sim),
       bandwidth_(config.bandwidthBytesPerSec),
-      sharing_(config.sharing),
-      reference_(config.schedule == LinkSchedule::Reference) {
+      sharing_(config.sharing) {
   if (!(config.bandwidthBytesPerSec > 0.0))
     throw std::invalid_argument("Link: bandwidth must be positive");
 }
@@ -48,16 +47,13 @@ Link::TransferId Link::startTransfer(Bytes size, CompletionHandler onComplete) {
     throw std::invalid_argument("Link::startTransfer: negative size");
   if (!onComplete)
     throw std::invalid_argument("Link::startTransfer: empty completion handler");
-  if (reference_)
-    accrueProgress();
-  else
-    advanceVirtualTime();
+  advanceVirtualTime();
   const TransferId id = nextId_++;
   const double bytes = size.value();
   const double finishV = virtualBytes_ + bytes;
-  active_.emplace(
-      id, Transfer{bytes, bytes, finishV, sim_.now(), std::move(onComplete)});
-  if (!reference_) finishHeap_.push({finishV, id});
+  active_.emplace(id,
+                  Transfer{bytes, finishV, sim_.now(), std::move(onComplete)});
+  finishHeap_.push({finishV, id});
   if (observer_ && observer_->accepts(obs::EventKind::TransferStarted))
     observer_->onEvent(
         obs::Event{sim_.now(), obs::TransferStarted{id, bytes, active_.size()}});
@@ -67,10 +63,7 @@ Link::TransferId Link::startTransfer(Bytes size, CompletionHandler onComplete) {
 
 void Link::suspend() {
   if (suspended_) return;
-  if (reference_)
-    accrueProgress();
-  else
-    advanceVirtualTime();
+  advanceVirtualTime();
   suspended_ = true;
   if (observer_)
     observer_->onEvent(obs::Event{sim_.now(), obs::LinkSuspended{}});
@@ -98,55 +91,10 @@ void Link::emitShareChange(double rate) {
 
 void Link::onLinkEvent() {
   pendingEvent_ = kInvalidEvent;
-  if (reference_) {
-    accrueProgress();
-    completeFinished();
-  } else {
-    advanceVirtualTime();
-    completeFinishedIncremental();
-  }
+  advanceVirtualTime();
+  completeFinished();
   reschedule();
 }
-
-// -- Reference scheduler -----------------------------------------------------
-
-void Link::accrueProgress() {
-  const double now = sim_.now();
-  const double rate = perTransferRate();
-  if (rate > 0.0 && now > lastUpdate_) {
-    const double credit = rate * (now - lastUpdate_);
-    for (auto& [id, t] : active_) t.remainingBytes -= credit;
-    if (observer_ && observer_->accepts(obs::EventKind::TransferProgress))
-      for (const auto& [id, t] : active_)
-        observer_->onEvent(
-            obs::Event{now, obs::TransferProgress{id, t.remainingBytes}});
-  }
-  lastUpdate_ = now;
-}
-
-void Link::completeFinished() {
-  // Collect handlers first: a completion handler may start new transfers on
-  // this link, which mutates active_.
-  std::vector<CompletionHandler> done;
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.remainingBytes <= completionThreshold(it->second.totalBytes)) {
-      completedBytes_ += it->second.totalBytes;
-      if (observer_ && observer_->accepts(obs::EventKind::TransferFinished))
-        observer_->onEvent(obs::Event{
-            sim_.now(),
-            obs::TransferFinished{it->first, it->second.totalBytes,
-                                  sim_.now() - it->second.startTime}});
-      done.push_back(std::move(it->second.onComplete));
-      it = active_.erase(it);
-      ++completedCount_;
-    } else {
-      ++it;
-    }
-  }
-  for (auto& handler : done) handler();
-}
-
-// -- Incremental scheduler ---------------------------------------------------
 
 void Link::advanceVirtualTime() {
   const double now = sim_.now();
@@ -173,10 +121,10 @@ bool Link::virtuallyComplete(const Transfer& t) const {
   return t.finishV - virtualBytes_ <= threshold;
 }
 
-void Link::completeFinishedIncremental() {
+void Link::completeFinished() {
   // Pop every finished transfer off the (finishV, id) heap, then fire the
-  // handlers in transfer-id order — the order the reference scheduler's
-  // id-ordered map scan produces.
+  // handlers in transfer-id order.  Collect the handlers first: one may
+  // start new transfers on this link, which mutates active_.
   std::vector<TransferId> doneIds;
   while (!finishHeap_.empty()) {
     const auto it = active_.find(finishHeap_.top().second);
@@ -204,8 +152,6 @@ void Link::completeFinishedIncremental() {
   for (auto& handler : done) handler();
 }
 
-// -- Shared rescheduling -----------------------------------------------------
-
 void Link::reschedule() {
   if (pendingEvent_ != kInvalidEvent) {
     sim_.cancel(pendingEvent_);
@@ -220,29 +166,12 @@ void Link::reschedule() {
   }
 
   const double rate = perTransferRate();
-  double delay = 0.0;
-  if (reference_) {
-    // Under fair share all transfers progress at the same rate, so the next
-    // completion is the one with the least remaining bytes.  Under dedicated
-    // the same selection applies (equal rates again).
-    double minRemaining = std::numeric_limits<double>::infinity();
-    bool anyComplete = false;
-    for (const auto& [id, t] : active_) {
-      minRemaining = std::min(minRemaining, t.remainingBytes);
-      anyComplete =
-          anyComplete || t.remainingBytes <= completionThreshold(t.totalBytes);
-    }
-    emitShareChange(rate);
-    delay = anyComplete ? 0.0 : minRemaining / rate;
-  } else {
-    // The heap top is the least-remaining transfer: remaining bytes are
-    // finishV - V for every transfer, so finishV order is remaining order.
-    emitShareChange(rate);
-    const Transfer& top = active_.find(finishHeap_.top().second)->second;
-    delay = virtuallyComplete(top)
-                ? 0.0
-                : (top.finishV - virtualBytes_) / rate;
-  }
+  emitShareChange(rate);
+  // The heap top is the least-remaining transfer: remaining bytes are
+  // finishV - V for every transfer, so finishV order is remaining order.
+  const Transfer& top = active_.find(finishHeap_.top().second)->second;
+  const double delay =
+      virtuallyComplete(top) ? 0.0 : (top.finishV - virtualBytes_) / rate;
 
   MCSIM_ENSURES(delay >= 0.0, "negative reschedule delay ", delay);
   const double now = sim_.now();

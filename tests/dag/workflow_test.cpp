@@ -125,6 +125,28 @@ TEST(Workflow, DuplicateInputBindingRejected) {
   const TaskId t = wf.addTask("t", "t", 1.0);
   wf.addInput(t, x);
   EXPECT_THROW(wf.addInput(t, x), std::invalid_argument);
+
+  // The check scans whichever list is shorter; each branch must reject.
+  // Fan-in: `join` reads three files, `a` has one consumer — the file's
+  // consumer list is the shorter one.
+  const FileId a = wf.addFile("a", Bytes(1.0));
+  const FileId b = wf.addFile("b", Bytes(1.0));
+  const FileId c = wf.addFile("c", Bytes(1.0));
+  const TaskId join = wf.addTask("join", "join", 1.0);
+  wf.addInput(join, a);
+  wf.addInput(join, b);
+  wf.addInput(join, c);
+  EXPECT_THROW(wf.addInput(join, a), std::invalid_argument);
+  // Fan-out: `shared` feeds three tasks, `reader` reads it alone — the
+  // task's input list is the shorter one.
+  const FileId shared = wf.addFile("shared", Bytes(1.0));
+  for (const char* name : {"r1", "r2"})
+    wf.addInput(wf.addTask(name, "r", 1.0), shared);
+  const TaskId reader = wf.addTask("reader", "r", 1.0);
+  wf.addInput(reader, shared);
+  EXPECT_THROW(wf.addInput(reader, shared), std::invalid_argument);
+  EXPECT_EQ(wf.file(shared).consumers.size(), 3u);
+  EXPECT_EQ(wf.task(join).inputs.size(), 3u);
 }
 
 TEST(Workflow, InvalidIdsRejected) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "mcsim/dag/algorithms.hpp"
@@ -160,6 +162,17 @@ TEST(MontageFactory, InvalidParamsRejected) {
 
   EXPECT_THROW(paramsForDegrees(0.0), std::invalid_argument);
   EXPECT_THROW(paramsForDegrees(-2.0), std::invalid_argument);
+  // Degrees whose image grid the workflow's int counts cannot represent.
+  EXPECT_THROW(paramsForDegrees(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(paramsForDegrees(20000.0), std::invalid_argument);
+  EXPECT_THROW(paramsForDegrees(1e300), std::invalid_argument);
+  try {
+    paramsForDegrees(20000.0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("20000"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MontageFactory, FingerprintsPinnedAtEveryBuiltDegree) {

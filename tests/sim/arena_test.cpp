@@ -1,6 +1,6 @@
 // Arena-calendar-specific coverage: in-place cancellation, slot reuse,
-// FIFO tie-breaking under heavy churn, and equivalence against the
-// Reference (priority_queue + tombstones) calendar, which must produce a
+// FIFO tie-breaking under heavy churn, and equivalence against the oracle's
+// ReferenceCalendar (priority_queue + tombstones), which must produce a
 // byte-identical event stream for any schedule/cancel workload.
 #include "mcsim/sim/simulator.hpp"
 
@@ -13,16 +13,10 @@
 
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/util/rng.hpp"
+#include "tests/support/oracle.hpp"
 
 namespace mcsim::sim {
 namespace {
-
-TEST(ArenaCalendar, IsTheDefaultImplementation) {
-  Simulator simulator;
-  EXPECT_EQ(simulator.calendar(), CalendarImpl::ArenaHeap);
-  Simulator reference(SimulatorOptions{.calendar = CalendarImpl::Reference});
-  EXPECT_EQ(reference.calendar(), CalendarImpl::Reference);
-}
 
 TEST(ArenaCalendar, CancelRemovesInPlace) {
   Simulator simulator;
@@ -93,8 +87,10 @@ TEST(ArenaCalendar, CancelRejectsForeignAndFiredIds) {
 
 /// Deterministic mixed workload: schedules bursts at clustered times,
 /// cancels a pseudo-random third of pending events, reschedules from
-/// callbacks.  Returns the (time, sequence) trace of fired events.
-std::vector<std::pair<double, int>> churn(Simulator& simulator) {
+/// callbacks.  Returns the (time, sequence) trace of fired events.  Runs on
+/// sim::Simulator or oracle::ReferenceCalendar.
+template <class Calendar>
+std::vector<std::pair<double, int>> churn(Calendar& simulator) {
   std::vector<std::pair<double, int>> trace;
   Rng rng(42);
   std::vector<EventId> pending;
@@ -117,8 +113,8 @@ std::vector<std::pair<double, int>> churn(Simulator& simulator) {
 }
 
 TEST(ArenaCalendar, MatchesReferenceCalendarUnderChurn) {
-  Simulator arena(SimulatorOptions{.calendar = CalendarImpl::ArenaHeap});
-  Simulator reference(SimulatorOptions{.calendar = CalendarImpl::Reference});
+  Simulator arena;
+  oracle::ReferenceCalendar reference;
   const auto arenaTrace = churn(arena);
   const auto referenceTrace = churn(reference);
   EXPECT_EQ(arenaTrace, referenceTrace);
@@ -127,15 +123,16 @@ TEST(ArenaCalendar, MatchesReferenceCalendarUnderChurn) {
 }
 
 TEST(ArenaCalendar, TelemetryStreamMatchesReference) {
-  auto record = [](CalendarImpl impl) {
+  auto record = [](auto& calendar) {
     obs::CollectingSink sink;
-    Simulator simulator(SimulatorOptions{.calendar = impl});
-    simulator.setObserver(&sink);
-    churn(simulator);
+    calendar.setObserver(&sink);
+    churn(calendar);
     return sink.take();
   };
-  const auto arenaEvents = record(CalendarImpl::ArenaHeap);
-  const auto referenceEvents = record(CalendarImpl::Reference);
+  Simulator arena;
+  oracle::ReferenceCalendar reference;
+  const auto arenaEvents = record(arena);
+  const auto referenceEvents = record(reference);
   ASSERT_EQ(arenaEvents.size(), referenceEvents.size());
   for (std::size_t i = 0; i < arenaEvents.size(); ++i) {
     EXPECT_EQ(arenaEvents[i].time, referenceEvents[i].time) << i;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "mcsim/obs/sink.hpp"
+#include "tests/support/oracle.hpp"
 
 namespace mcsim::sim {
 namespace {
@@ -192,27 +193,35 @@ struct EventBudget final : obs::Sink {
   std::size_t left;
 };
 
+/// Start a 2e-5 B transfer at `start` on a 1.25 MB/s link over `Calendar`
+/// and return when it finished (-1 if never).
+template <class Calendar, class LinkT>
+double subUlpFinish(double start) {
+  Calendar sim;
+  EventBudget budget(1000);
+  sim.setObserver(&budget);
+  LinkT link(sim, LinkConfig{.bandwidthBytesPerSec = 1.25e6});
+  double done = -1.0;
+  sim.schedule(start, [&] {
+    link.startTransfer(Bytes(2e-5), [&] { done = sim.now(); });
+  });
+  EXPECT_NO_THROW(sim.run());
+  EXPECT_EQ(link.completedTransfers(), 1u);
+  return done;
+}
+
 TEST(LinkResidue, SubUlpDelayStillCompletes) {
   // At t = 2^18 s one ulp is 2^-34 s (~5.8e-11 s); 2e-5 B at 1.25 MB/s
   // needs 1.6e-11 s, under half of it, so now + delay == now.  The link
-  // must fire one ulp later and finish rather than reschedule at `now`.
+  // must fire one ulp later and finish rather than reschedule at `now`;
+  // the oracle's rescan link must too.
   const double start = 262144.0;
-  for (LinkSchedule schedule :
-       {LinkSchedule::Incremental, LinkSchedule::Reference}) {
-    Simulator sim;
-    EventBudget budget(1000);
-    sim.setObserver(&budget);
-    Link link(sim, LinkConfig{.bandwidthBytesPerSec = 1.25e6,
-                              .schedule = schedule});
-    double done = -1.0;
-    sim.schedule(start, [&] {
-      link.startTransfer(Bytes(2e-5), [&] { done = sim.now(); });
-    });
-    ASSERT_NO_THROW(sim.run());
-    EXPECT_EQ(done,
-              std::nextafter(start, std::numeric_limits<double>::infinity()));
-    EXPECT_EQ(link.completedTransfers(), 1u);
-  }
+  const double oneUlpLater =
+      std::nextafter(start, std::numeric_limits<double>::infinity());
+  EXPECT_EQ((subUlpFinish<Simulator, Link>(start)), oneUlpLater);
+  EXPECT_EQ((subUlpFinish<oracle::ReferenceCalendar, oracle::ReferenceLink>(
+                start)),
+            oneUlpLater);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/workflows/survey.hpp"
+#include "tests/support/oracle.hpp"
 
 namespace mcsim::workflows {
 namespace {
@@ -72,7 +73,7 @@ TEST_P(SurveyDifferential, StreamingMatchesMergeReferenceExactly) {
   cfg.seed = 99;
   cfg.runtimeJitterFraction = 0.4;
   const dag::Workflow streaming = buildSurveyCampaign(cfg);
-  const dag::Workflow reference = buildSurveyCampaignReference(cfg);
+  const dag::Workflow reference = oracle::buildSurveyCampaignReference(cfg);
   expectIdenticalGraphs(streaming, reference);
 }
 
@@ -84,7 +85,7 @@ TEST_P(SurveyDifferential, StreamingMatchesStaggeredReferenceWithReleases) {
   cfg.runtimeJitterFraction = 0.25;
   cfg.releaseIntervalSeconds = 300.0;
   const dag::Workflow streaming = buildSurveyCampaign(cfg);
-  const dag::Workflow reference = buildSurveyCampaignReference(cfg);
+  const dag::Workflow reference = oracle::buildSurveyCampaignReference(cfg);
   expectIdenticalGraphs(streaming, reference);
 }
 
@@ -96,7 +97,7 @@ TEST_P(SurveyDifferential, SimulationAgreesWithReference) {
   cfg.runtimeJitterFraction = 0.5;
   cfg.releaseIntervalSeconds = 120.0;
   const dag::Workflow streaming = buildSurveyCampaign(cfg);
-  const dag::Workflow reference = buildSurveyCampaignReference(cfg);
+  const dag::Workflow reference = oracle::buildSurveyCampaignReference(cfg);
 
   engine::EngineConfig config;
   config.processors = 16;
@@ -112,7 +113,7 @@ TEST_P(SurveyDifferential, SimulationAgreesUnderFaultInjection) {
   cfg.seed = 4;
   cfg.runtimeJitterFraction = 0.3;
   const dag::Workflow streaming = buildSurveyCampaign(cfg);
-  const dag::Workflow reference = buildSurveyCampaignReference(cfg);
+  const dag::Workflow reference = oracle::buildSurveyCampaignReference(cfg);
 
   engine::EngineConfig config;
   config.processors = 8;
@@ -176,7 +177,7 @@ TEST(SurveyDifferentialEdge, OverlapSharingRewiresConsumersAcrossTiles) {
   EXPECT_EQ(crossTileRaws, counts.sharedFiles);
 
   // The reference path cannot express sharing and must refuse.
-  EXPECT_THROW(buildSurveyCampaignReference(cfg), std::invalid_argument);
+  EXPECT_THROW(oracle::buildSurveyCampaignReference(cfg), std::invalid_argument);
   EXPECT_THROW(buildSurveyShards(cfg, 2), std::invalid_argument);
 }
 
