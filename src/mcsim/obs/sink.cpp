@@ -186,6 +186,16 @@ bool FanOutSink::accepts(EventKind kind) const {
   return false;
 }
 
+bool FanOutSink::needsEvents() const {
+  for (const Sink* s : sinks_)
+    if (s->needsEvents()) return true;
+  return false;
+}
+
+void FanOutSink::apply(const MetricsDelta& delta) {
+  for (Sink* s : sinks_) s->apply(delta);
+}
+
 void CollectingSink::onEvent(const Event& event) { events_.push_back(event); }
 
 std::vector<Event> CollectingSink::take() {
@@ -208,6 +218,13 @@ bool MutexSink::accepts(EventKind kind) const {
   // accepts() must be stable for a run, so the inner sink's verdict can be
   // read without the lock.
   return inner_.accepts(kind);
+}
+
+bool MutexSink::needsEvents() const { return inner_.needsEvents(); }
+
+void MutexSink::apply(const MetricsDelta& delta) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  inner_.apply(delta);
 }
 
 RingBufferSink::RingBufferSink(std::size_t capacity) : capacity_(capacity) {

@@ -12,6 +12,11 @@
 // whole captured EventStream in a single call, so a sink shared across
 // threads (MutexSink) takes its lock once per scenario and never sees two
 // scenarios' events interleaved.
+//
+// needsEvents() lets a sink decline the events themselves.  The runner
+// then folds each scenario into a MetricsDelta while it runs (see
+// obs/metrics.hpp) and hands it over in one apply() call instead of
+// capturing and replaying the stream.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +27,8 @@
 #include "mcsim/obs/event.hpp"
 
 namespace mcsim::obs {
+
+struct MetricsDelta;
 
 /// An append-only event stream stored in fixed-size chunks of kChunkEvents
 /// events (64 KiB).  Appending never moves or copies recorded events.  A
@@ -74,6 +81,14 @@ class Sink {
     (void)kind;
     return true;
   }
+  /// Does this sink need a scenario's events, or only their effect on the
+  /// standard metrics?  Like accepts(), stable for the sink's lifetime.
+  /// Default: it needs the events.
+  virtual bool needsEvents() const { return true; }
+  /// Take one scenario's folded metrics.  The runner calls it only on a
+  /// sink whose needsEvents() is false, in place of onStream().  Default:
+  /// ignore it.
+  virtual void apply(const MetricsDelta& delta) { (void)delta; }
 };
 
 /// Swallows everything.  Useful as an explicit "telemetry off" terminal and
@@ -98,13 +113,18 @@ class FanOutSink final : public Sink {
   /// Forwards the whole stream to each child in turn.
   void onStream(const EventStream& stream) override;
   bool accepts(EventKind kind) const override;
+  /// True if any child needs events.
+  bool needsEvents() const override;
+  /// Forwards the delta to each child in turn.
+  void apply(const MetricsDelta& delta) override;
 
  private:
   std::vector<Sink*> sinks_;
 };
 
 /// Records every event into an EventStream — the runner's per-scenario
-/// capture buffer, replayed into the job's observer at join.
+/// capture buffer when the job's observer needs events, replayed into it
+/// at join.
 class StreamSink final : public Sink {
  public:
   void onEvent(const Event& event) override { stream_.push(event); }
@@ -143,6 +163,9 @@ class MutexSink final : public Sink {
   /// Delivers the whole stream under one acquisition of the lock.
   void onStream(const EventStream& stream) override;
   bool accepts(EventKind kind) const override;
+  bool needsEvents() const override;
+  /// Delivers the delta under one acquisition of the lock.
+  void apply(const MetricsDelta& delta) override;
 
   /// The serializing mutex, for callers that must read the *inner* sink's
   /// state coherently while events keep arriving — e.g. scraping a metrics

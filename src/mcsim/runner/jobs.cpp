@@ -12,6 +12,7 @@
 
 #include "mcsim/dag/workflow.hpp"
 #include "mcsim/engine/engine.hpp"
+#include "mcsim/obs/metrics.hpp"
 #include "mcsim/obs/selfprofile.hpp"
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/memo.hpp"
@@ -34,10 +35,20 @@ void validateSpecs(const std::vector<ScenarioSpec>& specs) {
   }
 }
 
-/// Execute scenario `i` into `out`, capturing its events into `stream`
-/// when asked.
+/// What a job records of each scenario: the stream only when the caller
+/// keeps events or its observer reads them, a metrics delta for an
+/// observer that needs no events, nothing without an observer.
+Capture captureFor(const JobOptions& options) {
+  if (options.keepEvents ||
+      (options.observer != nullptr && options.observer->needsEvents()))
+    return Capture::Stream;
+  return options.observer != nullptr ? Capture::Metrics : Capture::None;
+}
+
+/// Execute scenario `i` into `out`, recording it into `rec` in the job's
+/// capture shape.
 void runOne(const ScenarioSpec& spec, std::size_t i, std::uint64_t baseSeed,
-            bool capture, ScenarioResult& out, obs::EventStream& stream) {
+            Capture capture, ScenarioResult& out, Recording& rec) {
   out.index = i;
   out.label = spec.label;
   engine::EngineConfig cfg = spec.config;
@@ -47,17 +58,27 @@ void runOne(const ScenarioSpec& spec, std::size_t i, std::uint64_t baseSeed,
   // lives in JobOptions::profile instead.
   cfg.profile = false;
   obs::StreamSink collector;
-  cfg.observer = capture ? &collector : nullptr;
+  obs::MetricsFold fold;
+  if (capture == Capture::Stream) cfg.observer = &collector;
+  if (capture == Capture::Metrics) cfg.observer = &fold;
   out.result = engine::simulateWorkflow(*spec.workflow, cfg);
-  stream = collector.take();
+  if (capture == Capture::Stream) rec.events = collector.take();
+  if (capture == Capture::Metrics)
+    rec.metrics = std::make_unique<const obs::MetricsDelta>(fold.take());
 }
 
-/// Replay one scenario's stream into the job's observer in one call, and
-/// copy it into the result only when the caller asked to keep it.
-void mergeOne(ScenarioResult& r, const obs::EventStream& stream,
-              obs::Sink* observer, bool keepEvents) {
-  if (observer != nullptr) observer->onStream(stream);
-  if (keepEvents) r.events = stream.toVector();
+/// Hand one scenario to the job's observer in one call: apply its folded
+/// metrics, or replay its stream.  Copy the stream into the result only
+/// when the caller asked to keep it.
+void mergeOne(ScenarioResult& r, const Recording& rec, obs::Sink* observer,
+              bool keepEvents) {
+  if (observer != nullptr) {
+    if (rec.metrics != nullptr)
+      observer->apply(*rec.metrics);
+    else
+      observer->onStream(rec.events);
+  }
+  if (keepEvents) r.events = rec.events.toVector();
 }
 
 constexpr std::size_t kRunFresh = std::numeric_limits<std::size_t>::max();
@@ -65,7 +86,7 @@ constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 
 /// Serve scenario `i` from a cache entry (a prior-run hit or an in-batch
 /// duplicate's representative), preserving the scenario's own identity.
-/// Copies only the result; the stream is replayed from the shared entry.
+/// Copies only the result; the observer is served from the shared entry.
 void fillFromEntry(const ScenarioMemoCache::Entry& entry,
                    const ScenarioSpec& spec, std::size_t i,
                    ScenarioResult& out) {
@@ -84,12 +105,12 @@ struct CachePlan {
   std::vector<std::uint64_t> keys;
   std::vector<std::size_t> dupOf;  ///< Representative index, or kRunFresh.
   std::vector<std::size_t> toRun;
-  /// The entry whose stream scenario i replays; null until it has one.
+  /// The entry that serves scenario i's observer; null until it has one.
   std::vector<ScenarioMemoCache::EntryPtr> entries;
 };
 
 CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
-                           std::uint64_t baseSeed, bool capture,
+                           std::uint64_t baseSeed, Capture capture,
                            ScenarioMemoCache& cache,
                            std::vector<ScenarioResult>& results) {
   const std::size_t n = specs.size();
@@ -130,19 +151,6 @@ CachePlan planAgainstCache(const std::vector<ScenarioSpec>& specs,
     plan.toRun.push_back(i);
   }
   return plan;
-}
-
-/// Store a freshly simulated representative, moving its captured stream
-/// into the entry.  The capture flag is part of the key, so an event-free
-/// entry can never serve a capturing caller.
-ScenarioMemoCache::EntryPtr insertEntry(ScenarioMemoCache& cache,
-                                        std::uint64_t key,
-                                        const ScenarioResult& r,
-                                        obs::EventStream stream) {
-  ScenarioMemoCache::Entry entry;
-  entry.result = r.result;
-  entry.events = std::move(stream);
-  return cache.insert(key, std::move(entry));
 }
 
 /// Per-job cache statistics, appended after the merged streams.  Hits and
@@ -231,7 +239,7 @@ struct JobQueue::Job {
   JobId id = 0;
   JobState state = JobState::Queued;
   JobRequest request;
-  bool capture = false;    ///< observer != nullptr || keepEvents.
+  Capture capture = Capture::None;  ///< captureFor(request.options).
   bool profileOn = false;  ///< profile && observer != nullptr.
   double startWall = 0.0;  ///< Activation time (profile only).
 
@@ -239,9 +247,9 @@ struct JobQueue::Job {
   bool finalized = false;  ///< A worker owns finalization (or it is done).
   CachePlan plan;
   std::vector<ScenarioResult> results;
-  /// Freshly captured streams, by scenario index; moved into the cache
-  /// entry when there is a cache.
-  std::vector<obs::EventStream> streams;
+  /// Fresh recordings, by scenario index; moved into the cache entry when
+  /// there is a cache.
+  std::vector<Recording> recordings;
   std::size_t nextItem = 0;  ///< Next unclaimed index into plan.toRun.
   std::size_t inFlight = 0;
   std::size_t completedScenarios = 0;
@@ -320,7 +328,7 @@ JobId JobQueue::submitLocked(std::unique_ptr<Job> job,
   Job& ref = *job;
   ref.id = id;
   const JobOptions& jo = ref.request.options;
-  ref.capture = jo.observer != nullptr || jo.keepEvents;
+  ref.capture = captureFor(jo);
   ref.profileOn = jo.profile && jo.observer != nullptr;
   jobs_.emplace(id, std::move(job));
   if (options_.workers == 0) {
@@ -477,7 +485,7 @@ void JobQueue::activate(Job& job, std::unique_lock<std::mutex>& lock) {
   emitLifecycle(options_.observer, obs::JobStarted{job.id});
   const std::size_t n = job.request.scenarios.size();
   job.results.resize(n);
-  job.streams.resize(n);
+  job.recordings.resize(n);
   if (options_.cache != nullptr) {
     // Fingerprinting is O(workflow bytes): classify outside the lock.  The
     // activating worker owns the job until `planned` flips, so results[]
@@ -540,7 +548,7 @@ void JobQueue::executeItem(Job& job, int worker,
   const double t0 = job.profileOn ? wallNow() : 0.0;
   try {
     runOne(job.request.scenarios[i], i, job.request.options.baseSeed,
-           job.capture, job.results[i], job.streams[i]);
+           job.capture, job.results[i], job.recordings[i]);
   } catch (...) {
     failure = std::current_exception();
   }
@@ -577,10 +585,13 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
 
   if (!failed && !cancelled) {
     if (options_.cache != nullptr) {
+      // A fresh representative's recording moves into its entry.  The
+      // capture shape is part of the key, so an entry of one shape never
+      // serves a caller of another.
       for (std::size_t i : job.plan.toRun)
-        job.plan.entries[i] =
-            insertEntry(*options_.cache, job.plan.keys[i], job.results[i],
-                        std::move(job.streams[i]));
+        job.plan.entries[i] = options_.cache->insert(
+            job.plan.keys[i],
+            {std::move(job.recordings[i]), job.results[i].result});
       // Duplicates are served from their representative's entry, which the
       // job holds: immune to concurrent LRU eviction.
       for (std::size_t i = 0; i < n; ++i) {
@@ -593,8 +604,9 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
     }
     for (std::size_t i = 0; i < n; ++i)
       mergeOne(job.results[i],
-               options_.cache != nullptr ? job.plan.entries[i]->events
-                                         : job.streams[i],
+               options_.cache != nullptr
+                   ? static_cast<const Recording&>(*job.plan.entries[i])
+                   : job.recordings[i],
                jo.observer, jo.keepEvents);
     if (options_.cache != nullptr)
       emitJobCacheStats(*options_.cache, n - job.plan.toRun.size(),
@@ -607,9 +619,9 @@ void JobQueue::finalize(Job& job, std::unique_lock<std::mutex>& lock) {
     }
   }
 
-  // Release the streams now: the job lingers until wait(), and its entries
-  // would pin evicted cache memory.
-  std::vector<obs::EventStream>().swap(job.streams);
+  // Release the recordings now: the job lingers until wait(), and its
+  // entries would pin evicted cache memory.
+  std::vector<Recording>().swap(job.recordings);
   std::vector<ScenarioMemoCache::EntryPtr>().swap(job.plan.entries);
 
   lock.lock();

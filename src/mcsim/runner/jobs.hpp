@@ -22,19 +22,24 @@
 //    new scenarios, drains its in-flight ones, and resolves Cancelled with
 //    no results.  Other jobs are unaffected — their bytes do not change.
 //
-// Merging: each scenario is captured into a chunked obs::EventStream, and
-// finalization hands each scenario's stream to the job's observer in one
-// obs::Sink::onStream call, in ascending index.  With a cache, a fresh
-// stream moves into its shared, immutable memo entry and hits replay from
-// the entry; the job holds every entry it replays until finalization, so
+// Merging: finalization hands each scenario to the job's observer in one
+// call, in ascending index.  What a scenario records follows the observer
+// (runner::Capture): for keepEvents, or an observer whose needsEvents() is
+// true, a chunked obs::EventStream delivered through obs::Sink::onStream;
+// for an observer that needs no events (a MetricsSink), an
+// obs::MetricsDelta folded while the scenario runs and delivered through
+// obs::Sink::apply, at a cost set by the instruments and addends, not the
+// events; with no observer, nothing.  With a cache, a fresh recording moves
+// into its shared, immutable memo entry and hits are served from the
+// entry; the job holds every entry it serves until finalization, so
 // eviction cannot pull one away.  Streams are copied only for keepEvents.
 //
 // The queue emits control-plane lifecycle events (obs::JobSubmitted /
 // JobStarted / JobFinished, time < 0) to its own observer — never into a
 // job's per-request stream.  Attach metrics or JSONL sinks through
 // obs::MutexSink: finalization runs on whichever worker finishes last, and
-// MutexSink delivers each scenario stream under one lock, so concurrent
-// jobs never interleave inside the shared sink.
+// MutexSink delivers each scenario's stream or delta under one lock, so
+// concurrent jobs never interleave inside the shared sink.
 #pragma once
 
 #include <condition_variable>
@@ -86,7 +91,9 @@ struct JobOptions {
   /// != 0: overwrite each scenario's fault seed with deriveSeed(baseSeed, i).
   std::uint64_t baseSeed = 0;
   /// Receives this job's events, merged deterministically in ascending
-  /// scenario index at completion — per-request telemetry isolation.
+  /// scenario index at completion — per-request telemetry isolation.  An
+  /// observer whose needsEvents() is false gets one folded
+  /// obs::MetricsDelta per scenario instead (see "Merging" above).
   /// Borrowed; must outlive the job; never shared with a concurrent job
   /// unless externally synchronized.
   obs::Sink* observer = nullptr;

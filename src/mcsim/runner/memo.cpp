@@ -92,7 +92,7 @@ std::uint64_t fingerprintWorkflow(const dag::Workflow& workflow) {
 }
 
 std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
-                                bool captureEvents) {
+                                Capture capture) {
   Fnv h;
   h.u8(static_cast<std::uint8_t>(config.mode));
   h.u32(static_cast<std::uint32_t>(config.processors));
@@ -120,15 +120,15 @@ std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
   h.f64(f.deadlineSeconds);
   h.u64(f.seed);
 
-  h.u8(captureEvents ? 1 : 0);
+  h.u8(static_cast<std::uint8_t>(capture));
   return h.value();
 }
 
 std::uint64_t fingerprintScenario(const dag::Workflow& workflow,
                                   const engine::EngineConfig& config,
-                                  bool captureEvents) {
+                                  Capture capture) {
   return combineFingerprints(fingerprintWorkflow(workflow),
-                             fingerprintConfig(config, captureEvents));
+                             fingerprintConfig(config, capture));
 }
 
 std::uint64_t combineFingerprints(std::uint64_t workflowFingerprint,
@@ -142,12 +142,23 @@ std::uint64_t combineFingerprints(std::uint64_t workflowFingerprint,
 namespace {
 
 /// Approximate resident footprint of one entry: the struct itself plus the
-/// dominant heap blocks (event-stream chunks at full capacity, storage
-/// curve).  Strings inside log events are not chased — this is a capacity
-/// signal, not an allocator audit.
+/// dominant heap blocks (event-stream chunks at full capacity, the metrics
+/// delta's addend and bucket vectors, storage curve).  Strings inside log
+/// events are not chased — this is a capacity signal, not an allocator
+/// audit.
 std::size_t approxEntryBytes(const ScenarioMemoCache::Entry& entry) {
+  const std::size_t metricsBytes =
+      entry.metrics == nullptr
+          ? 0
+          : sizeof(obs::MetricsDelta) + entry.metrics->heapBytes();
   return sizeof(ScenarioMemoCache::Entry) + entry.events.capacityBytes() +
+         metricsBytes +
          entry.result.storageCurve.eventCount() * sizeof(UsageEvent);
+}
+
+/// Events behind an entry's delta; 0 without one.
+std::size_t foldedEvents(const ScenarioMemoCache::Entry& entry) {
+  return entry.metrics == nullptr ? 0 : entry.metrics->events;
 }
 
 }  // namespace
@@ -212,7 +223,8 @@ ScenarioMemoCache::EntryPtr ScenarioMemoCache::insert(std::uint64_t key,
   MCSIM_ASSERT(it == entries_.end() ||
                    (it->second.entry->result.makespanSeconds ==
                         shared->result.makespanSeconds &&
-                    it->second.entry->events.size() == shared->events.size()),
+                    it->second.entry->events.size() == shared->events.size() &&
+                    foldedEvents(*it->second.entry) == foldedEvents(*shared)),
                "memo key ", key, " re-inserted with a different result");
   if (it != entries_.end()) {
     bytes_ -= it->second.bytes;

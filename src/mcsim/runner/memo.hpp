@@ -6,18 +6,27 @@
 // Simulation is deterministic, so a scenario's outcome is a pure function
 // of its content; the cache keys an entry by a 64-bit FNV-1a fingerprint of
 // the canonical workflow bytes plus the full effective engine configuration
-// (including the derived fault seed and whether events are captured), and a
-// hit replays the stored ExecutionResult and event stream verbatim — byte-
-// identical to a fresh run by construction, and enforced by the determinism
-// replay harness.
+// (including the derived fault seed and the entry's capture shape), and a
+// hit hands back the stored ExecutionResult and what the scenario recorded
+// for its observer — byte-identical to a fresh run by construction, and
+// enforced by the determinism replay harness.
+//
+// Capture shape: an entry holds nothing beyond the result (no observer), a
+// folded obs::MetricsDelta (an observer that needs no events, such as the
+// serve daemon's shared metrics sink), or the full event stream (keepEvents,
+// or an observer that reads every event).  The shape is part of the key, so
+// an entry of one shape never serves a caller of another.  A delta is
+// 40–55× smaller than the stream it replaces, and applying it costs the
+// number of instruments plus its floating-point addends, not the number of
+// events.
 //
 // Entries are shared and immutable: the cache holds a
 // std::shared_ptr<const Entry>, and lookup/peek hand out that same pointer.
-// A hit copies only the ExecutionResult and replays the stream straight from
-// the shared entry; a miss moves its captured stream into the new entry.
-// An entry evicted while a job still holds it stays valid until the job
-// lets go.  Streams are obs::EventStream chunks, so an entry never holds a
-// multi-megabyte contiguous buffer.
+// A hit copies only the ExecutionResult and applies the delta or replays
+// the stream straight from the shared entry; a miss moves its recording
+// into the new entry.  An entry evicted while a job still holds it stays
+// valid until the job lets go.  Streams are obs::EventStream chunks, so an
+// entry never holds a multi-megabyte contiguous buffer.
 //
 // Capacity: a default-constructed cache is unbounded (the batch-sweep
 // behavior since PR 4).  A server cache is constructed with
@@ -41,6 +50,7 @@
 #include <mutex>
 
 #include "mcsim/engine/engine.hpp"
+#include "mcsim/obs/metrics.hpp"
 #include "mcsim/obs/sink.hpp"
 
 namespace mcsim::dag {
@@ -56,17 +66,24 @@ namespace mcsim::runner {
 /// function of the above.
 std::uint64_t fingerprintWorkflow(const dag::Workflow& workflow);
 
+/// What the runner records of a scenario for its job's observer, and so
+/// what a cache entry holds.  The value is the key's capture byte.
+enum class Capture : std::uint8_t {
+  None = 0,     ///< No observer: the result alone.
+  Stream = 1,   ///< keepEvents, or an observer that needs events.
+  Metrics = 2,  ///< An observer that needs no events: a MetricsDelta.
+};
+
 /// FNV-1a fingerprint of every behavior-affecting EngineConfig field (the
-/// observer pointer is excluded; `captureEvents` stands in for whether the
-/// runner records the scenario's event stream, which changes what a cache
-/// entry must hold).
+/// observer pointer is excluded; `capture` stands in for what the runner
+/// records of the scenario, which changes what a cache entry must hold).
 std::uint64_t fingerprintConfig(const engine::EngineConfig& config,
-                                bool captureEvents);
+                                Capture capture);
 
 /// Combined scenario fingerprint — the cache key.
 std::uint64_t fingerprintScenario(const dag::Workflow& workflow,
                                   const engine::EngineConfig& config,
-                                  bool captureEvents);
+                                  Capture capture);
 
 /// fingerprintScenario from precomputed parts, for callers that amortize
 /// fingerprintWorkflow across many scenarios sharing one workflow.
@@ -96,14 +113,19 @@ struct MemoStats {
   }
 };
 
+/// What a scenario recorded for its job's observer.  Which member is
+/// filled follows the Capture shape; both are empty for Capture::None.
+struct Recording {
+  obs::EventStream events;  ///< Capture::Stream: the whole stream.
+  /// Capture::Metrics: the folded metrics; null for the other shapes.
+  std::unique_ptr<const obs::MetricsDelta> metrics;
+};
+
 class ScenarioMemoCache {
  public:
-  struct Entry {
+  /// A scenario's recording and its result.
+  struct Entry : Recording {
     engine::ExecutionResult result;
-    /// The scenario's full event stream; recorded only when the producing
-    /// run captured events (the capture flag is part of the key, so a hit
-    /// always matches the caller's capture shape).
-    obs::EventStream events;
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 

@@ -196,14 +196,19 @@ void ServeDaemon::handleHttp(int fd, const std::string& firstLine) {
 
 void ServeDaemon::serveConnection(int fd) {
   std::string buffer;
+  // Lines are consumed by offset and the buffer compacted once per read,
+  // and each byte is searched for '\n' once, so a long or pipelined input
+  // costs time linear in its length.
+  std::size_t start = 0;    ///< First byte of the next unconsumed line.
+  std::size_t scanned = 0;  ///< Bytes already searched for '\n'.
   char chunk[4096];
   bool sniffed = false;
   while (!stopRequested_.load()) {
     // Process complete lines already buffered before reading more.
     std::size_t eol;
-    while ((eol = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, eol);
-      buffer.erase(0, eol + 1);
+    while ((eol = buffer.find('\n', scanned)) != std::string::npos) {
+      std::string line = buffer.substr(start, eol - start);
+      start = scanned = eol + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (!sniffed) {
         sniffed = true;
@@ -239,6 +244,9 @@ void ServeDaemon::serveConnection(int fd) {
       }
     }
 
+    buffer.erase(0, start);
+    scanned = buffer.size();
+    start = 0;
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;

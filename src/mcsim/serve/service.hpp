@@ -15,13 +15,17 @@
 // the submit asked for "events":true) and never interleaves with another
 // request's stream.  The shared metrics sink sits behind obs::MutexSink,
 // so the Prometheus exposition aggregates all requests while each job's
-// own stream stays byte-deterministic.  Each scenario's stream reaches it
-// in one obs::Sink::onStream call under one lock, so the MetricsSink's
-// per-task wait/exec pairing never sees two scenarios interleaved.
+// own stream stays byte-deterministic.  Each scenario reaches it in one
+// call under one lock, so the MetricsSink's per-task wait/exec pairing
+// never sees two scenarios interleaved.
 //
-// A cache hit costs a store lookup, a cache lookup, a copy of the
-// ExecutionResult and one replay of the shared entry's stream: no workflow
-// build, no fingerprint, no stream copy.
+// The session's fan-out needs events only when the submit asked for them.
+// Otherwise the runner folds each scenario into an obs::MetricsDelta and
+// the memo cache keeps the delta, not the stream: a cache hit costs a
+// store lookup, a cache lookup, a copy of the ExecutionResult and one
+// application of the shared entry's delta — no workflow build, no
+// fingerprint, no event replay.  An "events":true submit captures, caches
+// and replays the stream, and leaves the same exposition.
 #pragma once
 
 #include <cstddef>
@@ -80,7 +84,8 @@ class SimulationService {
  private:
   /// Per-job telemetry session: the job's private merged stream, captured
   /// as JSONL when the submit asked for events, always teed into the shared
-  /// (mutex-guarded) metrics sink.
+  /// (mutex-guarded) metrics sink — as folded deltas when nothing else in
+  /// the session needs events.
   struct Session;
 
   json::JsonValue handleSubmit(const json::JsonValue& request);

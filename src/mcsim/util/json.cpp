@@ -123,8 +123,17 @@ bool JsonParser::consumeWord(const char* word) {
 JsonValue JsonParser::parseValue() {
   skipSpace();
   switch (peek()) {
-    case '{': return parseObject();
-    case '[': return parseArray();
+    case '{':
+    case '[': {
+      // Recursion depth is bounded so hostile input fails instead of
+      // overflowing the stack.
+      if (depth_ == kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      ++depth_;
+      JsonValue nested = peek() == '{' ? parseObject() : parseArray();
+      --depth_;
+      return nested;
+    }
     case '"': return JsonValue(parseString());
     case 't':
       if (consumeWord("true")) return JsonValue(true);

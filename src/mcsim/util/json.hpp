@@ -109,8 +109,12 @@ class JsonParser {
   std::string parseString();
   JsonValue parseNumber();
 
+  /// Objects and arrays nested deeper than this are a parse error.
+  static constexpr std::size_t kMaxDepth = 512;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< Objects and arrays open at pos_.
 };
 
 }  // namespace mcsim::json

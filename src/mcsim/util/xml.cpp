@@ -236,7 +236,13 @@ class Parser {
         continue;
       }
       if (peek() == '<') {
+        // Bounded recursion: hostile nesting fails instead of overflowing
+        // the stack.
+        if (depth_ == kMaxDepth)
+          fail("elements nested deeper than " + std::to_string(kMaxDepth));
+        ++depth_;
         elem->children.push_back(parseElement());
+        --depth_;
         continue;
       }
       char c = get();
@@ -245,8 +251,12 @@ class Parser {
     }
   }
 
+  /// Elements nested deeper than this below the root are a parse error.
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view in_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< Open elements below the root.
 };
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "tests/common/fixtures.hpp"
 #include "mcsim/dag/algorithms.hpp"
+#include "mcsim/util/xml.hpp"
 
 namespace mcsim::dag {
 namespace {
@@ -91,6 +92,23 @@ TEST(Dax, FileRoundTripThroughDisk) {
 
 TEST(Dax, MissingFileThrows) {
   EXPECT_THROW(readDaxFile("/nonexistent/nowhere.dax"), std::runtime_error);
+}
+
+TEST(Dax, DeeplyNestedElementsRejected) {
+  // 2*10^5 nested elements would overflow the recursive parser's stack;
+  // the depth bound turns them into a parse error.
+  const std::size_t depth = 200000;
+  std::string text = "<adag>";
+  for (std::size_t i = 0; i < depth; ++i) text += "<a>";
+  for (std::size_t i = 0; i < depth; ++i) text += "</a>";
+  text += "</adag>";
+  const std::string path = ::testing::TempDir() + "/deep.dax";
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  EXPECT_THROW(readDaxFile(path), xml::ParseError);
+  std::remove(path.c_str());
 }
 
 TEST(Dax, WrongRootRejected) {

@@ -14,6 +14,7 @@
 
 #include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/jsonl.hpp"
+#include "mcsim/obs/metrics.hpp"
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/runner/runner.hpp"
 
@@ -47,24 +48,28 @@ std::vector<ScenarioSpec> montageBatch(const dag::Workflow& wf, int copies) {
 TEST(ScenarioFingerprint, DiscriminatesEveryConfigKnob) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   engine::EngineConfig base;
-  const std::uint64_t key = fingerprintScenario(wf, base, false);
-  EXPECT_EQ(key, fingerprintScenario(wf, base, false));  // stable
+  const std::uint64_t key = fingerprintScenario(wf, base, Capture::None);
+  EXPECT_EQ(key, fingerprintScenario(wf, base, Capture::None));  // stable
 
   engine::EngineConfig c = base;
   c.processors = 9;
-  EXPECT_NE(fingerprintScenario(wf, c, false), key);
+  EXPECT_NE(fingerprintScenario(wf, c, Capture::None), key);
   c = base;
   c.mode = engine::DataMode::RemoteIO;
-  EXPECT_NE(fingerprintScenario(wf, c, false), key);
+  EXPECT_NE(fingerprintScenario(wf, c, Capture::None), key);
   c = base;
   c.linkBandwidthBytesPerSec *= 2;
-  EXPECT_NE(fingerprintScenario(wf, c, false), key);
+  EXPECT_NE(fingerprintScenario(wf, c, Capture::None), key);
   c = base;
   c.faults.seed = 99;
-  EXPECT_NE(fingerprintScenario(wf, c, false), key);
-  // The capture shape is part of the key: an event-free entry must never
-  // serve a capturing caller.
-  EXPECT_NE(fingerprintScenario(wf, base, true), key);
+  EXPECT_NE(fingerprintScenario(wf, c, Capture::None), key);
+  // The capture shape is part of the key: an entry of one shape must never
+  // serve a caller of another.
+  const std::uint64_t stream = fingerprintScenario(wf, base, Capture::Stream);
+  const std::uint64_t metrics = fingerprintScenario(wf, base, Capture::Metrics);
+  EXPECT_NE(stream, key);
+  EXPECT_NE(metrics, key);
+  EXPECT_NE(metrics, stream);
 }
 
 TEST(ScenarioFingerprint, DiscriminatesWorkflowContent) {
@@ -116,6 +121,34 @@ TEST(ScenarioMemoCacheTest, WarmRunIsByteIdenticalToCold) {
     // Byte-identical event streams — the memo contract.
     EXPECT_EQ(toJsonl(warm[i].events), toJsonl(fresh[i].events)) << i;
   }
+}
+
+TEST(ScenarioMemoCacheTest, MetricsEntryIsTenTimesSmallerThanStreamEntry) {
+  // An observer that needs no events gets a folded metrics delta cached in
+  // place of the whole stream.
+  const dag::Workflow wf = montage::buildMontageWorkflow(4.0);
+  ScenarioSpec spec;
+  spec.workflow = &wf;
+  spec.config.mode = engine::DataMode::RemoteIO;
+  spec.config.processors = 16;
+
+  const auto cachedBytes = [&](obs::Sink& observer) {
+    ScenarioMemoCache cache;
+    RunnerOptions options;
+    options.jobs = 0;
+    options.cache = &cache;
+    options.observer = &observer;
+    runScenarios({spec}, options);
+    return cache.stats().bytes;
+  };
+  obs::MetricsRegistry registry;
+  obs::MetricsSink metrics(registry);
+  obs::CollectingSink collecting;
+  const std::size_t metricsBytes = cachedBytes(metrics);
+  const std::size_t streamBytes = cachedBytes(collecting);
+  EXPECT_GE(streamBytes, 10 * metricsBytes)
+      << "metrics entry " << metricsBytes << " B, stream entry "
+      << streamBytes << " B";
 }
 
 TEST(ScenarioMemoCacheTest, InBatchDuplicatesAreServedOnce) {

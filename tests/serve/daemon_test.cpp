@@ -77,6 +77,43 @@ std::string rawExchange(const std::string& socketPath,
   return reply;
 }
 
+/// Write `payload` in one write() from a second thread while reading
+/// `replies` reply lines back on the same connection (the daemon answers
+/// while the client is still writing, so one thread could deadlock).
+std::vector<std::string> pipeline(const std::string& socketPath,
+                                  const std::string& payload,
+                                  std::size_t replies) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socketPath.c_str(),
+               sizeof(addr.sun_path) - 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::thread writer([&] {
+    EXPECT_EQ(::write(fd, payload.data(), payload.size()),
+              static_cast<ssize_t>(payload.size()));
+  });
+  std::vector<std::string> lines(1);
+  char buf[4096];
+  while (lines.size() <= replies) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) break;
+    for (ssize_t i = 0; i < n; ++i) {
+      if (buf[i] == '\n')
+        lines.emplace_back();
+      else
+        lines.back().push_back(buf[i]);
+    }
+  }
+  writer.join();
+  ::close(fd);
+  lines.pop_back();  // the partial line after the last newline
+  return lines;
+}
+
 TEST(ServeDaemon, SubmitResultRoundTripMatchesBatchGolden) {
   ServeDaemon daemon({.socketPath = "daemon_test_roundtrip.sock",
                       .service = {.workers = 2}});
@@ -135,6 +172,42 @@ TEST(ServeDaemon, ParseErrorGetsReplyAndConnectionSurvives) {
   json::JsonObject ping;
   ping["verb"] = std::string("ping");
   EXPECT_TRUE(client.call(json::JsonValue(ping)).at("ok").asBool());
+}
+
+TEST(ServeDaemon, DeeplyNestedLineIsAParseErrorAndConnectionSurvives) {
+  ServeDaemon daemon({.socketPath = "daemon_test_deep.sock",
+                      .service = {.workers = 0}});
+  daemon.start();
+
+  const std::string payload =
+      std::string(100000, '[') + "\n" + R"({"verb":"ping"})" + "\n";
+  const std::vector<std::string> replies =
+      pipeline(daemon.socketPath(), payload, 2);
+  ASSERT_EQ(replies.size(), 2u);
+  const json::JsonValue error = json::parseJson(replies[0]);
+  EXPECT_FALSE(error.at("ok").asBool());
+  EXPECT_NE(error.at("error").asString().find("parse error"),
+            std::string::npos);
+  EXPECT_TRUE(json::parseJson(replies[1]).at("ok").asBool());
+}
+
+TEST(ServeDaemon, PipelinedPingsAreAnsweredInOrder) {
+  ServeDaemon daemon({.socketPath = "daemon_test_pipeline.sock",
+                      .service = {.workers = 0}});
+  daemon.start();
+
+  constexpr std::size_t kPings = 2000;
+  std::string payload;
+  for (std::size_t i = 0; i < kPings; ++i)
+    payload += R"({"verb":"ping","id":)" + std::to_string(i) + "}\n";
+  const std::vector<std::string> replies =
+      pipeline(daemon.socketPath(), payload, kPings);
+  ASSERT_EQ(replies.size(), kPings);
+  for (std::size_t i = 0; i < kPings; ++i) {
+    const json::JsonValue reply = json::parseJson(replies[i]);
+    ASSERT_TRUE(reply.at("ok").asBool()) << replies[i];
+    ASSERT_EQ(static_cast<std::size_t>(reply.at("id").asNumber()), i);
+  }
 }
 
 TEST(ServeDaemon, ShutdownVerbIsAcknowledgedThenStopsDaemon) {

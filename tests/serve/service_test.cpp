@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <future>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -365,6 +366,89 @@ TEST(SimulationService, ConcurrentJobsKeepTaskHistogramsExact) {
     const double expected = sample(serial, sum);
     EXPECT_GT(expected, 0.0);
     EXPECT_NEAR(sample(pooled, sum), expected, 1e-9 * expected);
+  }
+}
+
+/// A submit of `workflow` in `mode` on each of `procs`; a non-zero
+/// `faultSeed` adds a 10-hour processor MTBF with that seed.
+json::JsonValue scriptSubmit(const std::string& workflow,
+                             const std::string& mode,
+                             const std::vector<int>& procs,
+                             std::uint64_t faultSeed, bool events) {
+  json::JsonArray scenarios;
+  for (int p : procs) {
+    json::JsonObject s;
+    s["mode"] = mode;
+    s["processors"] = p;
+    if (faultSeed != 0) {
+      s["mtbf_seconds"] = 10.0 * 3600.0;
+      s["fault_seed"] = faultSeed;
+    }
+    scenarios.push_back(json::JsonValue(std::move(s)));
+  }
+  json::JsonObject request;
+  request["workflow"] = workflow;
+  request["scenarios"] = std::move(scenarios);
+  if (events) request["events"] = true;
+  json::JsonObject verb;
+  verb["verb"] = std::string("submit");
+  verb["request"] = std::move(request);
+  return json::JsonValue(std::move(verb));
+}
+
+/// The exposition without its mcsim_cache_bytes sample, which measures
+/// what the entries hold rather than what the requests did.
+std::string withoutCacheBytes(const std::string& text) {
+  std::istringstream in(text);
+  std::string out, line;
+  while (std::getline(in, line))
+    if (line.rfind("mcsim_cache_bytes ", 0) != 0) out += line + "\n";
+  return out;
+}
+
+TEST(SimulationService, FoldedMetricsMatchEventReplay) {
+  // Plain submits fold each scenario into a metrics delta; "events":true
+  // submits capture and replay the stream.  One fixed script of misses,
+  // hits, in-batch duplicates, faulted scenarios and gallery workflows must
+  // leave the same exposition either way.
+  struct Step {
+    const char* workflow;
+    const char* mode;
+    std::vector<int> procs;
+    std::uint64_t faultSeed;
+  };
+  const std::vector<Step> script = {
+      {"montage:1", "regular", {8, 16, 8}, 0},
+      {"montage:1", "regular", {8}, 0},
+      {"montage:2", "remote-io", {16}, 7},
+      {"sipht", "cleanup", {4}, 0},
+      {"cybershake", "regular", {8, 8}, 0},
+      {"montage:2", "remote-io", {16}, 7},
+      {"epigenomics", "remote-io", {4}, 0},
+      {"montage:1", "cleanup", {32, 16}, 3},
+      {"inspiral", "regular", {4, 8}, 0},
+      {"montage:1", "regular", {16}, 0},
+  };
+  const auto exposition = [&](int workers, bool events) {
+    SimulationService service({.workers = workers});
+    for (const Step& step : script) {
+      const json::JsonValue submitted = service.handle(scriptSubmit(
+          step.workflow, step.mode, step.procs, step.faultSeed, events));
+      EXPECT_TRUE(submitted.at("ok").asBool());
+      const json::JsonValue reply =
+          service.handle(jobVerb("result", submitted.at("job").asNumber()));
+      EXPECT_EQ(reply.at("state").asString(), "completed");
+      EXPECT_EQ(reply.has("events_jsonl"), events);
+    }
+    return service.metricsText();
+  };
+  for (const int workers : {0, 4}) {
+    SCOPED_TRACE(workers);
+    const std::string folded = exposition(workers, false);
+    const std::string replayed = exposition(workers, true);
+    EXPECT_GT(sample(folded, "mcsim_cache_hits"), 0.0);
+    EXPECT_GT(sample(folded, "mcsim_processor_crashes_total"), 0.0);
+    EXPECT_EQ(withoutCacheBytes(folded), withoutCacheBytes(replayed));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace mcsim::json {
 namespace {
@@ -53,6 +54,18 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(parseJson("[1,2,]"), std::runtime_error);
   EXPECT_THROW(parseJson("nul"), std::runtime_error);
   EXPECT_THROW(parseJson("{} trailing"), std::runtime_error);
+}
+
+TEST(JsonParse, NestingDepthIsBounded) {
+  // 512 levels parse; one more, or a hostile 10^5, is a parse error rather
+  // than a stack overflow.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(parseJson(nested(512)));
+  EXPECT_THROW(parseJson(nested(513)), std::runtime_error);
+  EXPECT_THROW(parseJson(std::string(100000, '[')), std::runtime_error);
+  EXPECT_THROW(parseJson(std::string(100000, '{')), std::runtime_error);
 }
 
 TEST(JsonValue, AccessorsEnforceTypes) {
