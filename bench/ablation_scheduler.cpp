@@ -31,7 +31,7 @@ int main(int, char**) {
 
   // Adversarial workload: one external file fans out to many short sinks
   // plus the 1-second head of a long chain.
-  dag::Workflow adv("chain-heavy");
+  dag::WorkflowBuilder adv("chain-heavy");
   const dag::FileId x = adv.addFile("x", Bytes::fromMB(1.0));
   for (int i = 0; i < 16; ++i) {
     const dag::TaskId s = adv.addTask("s" + std::to_string(i), "short", 60.0);
@@ -50,16 +50,18 @@ int main(int, char**) {
     prev = adv.addFile("cf" + std::to_string(i), Bytes::fromMB(1.0));
     adv.addOutput(link, prev);
   }
-  adv.finalize();
+  const dag::Workflow chainHeavy = adv.build();
 
   Table t2({"procs", "fifo makespan", "cp-first makespan", "delta"});
   for (int procs : {2, 4, 8}) {
     engine::EngineConfig cfg;
     cfg.processors = procs;
     cfg.scheduler = engine::SchedulerPolicy::Fifo;
-    const double fifo = engine::simulateWorkflow(adv, cfg).makespanSeconds;
+    const double fifo =
+        engine::simulateWorkflow(chainHeavy, cfg).makespanSeconds;
     cfg.scheduler = engine::SchedulerPolicy::CriticalPathFirst;
-    const double cpf = engine::simulateWorkflow(adv, cfg).makespanSeconds;
+    const double cpf =
+        engine::simulateWorkflow(chainHeavy, cfg).makespanSeconds;
     char delta[32];
     std::snprintf(delta, sizeof delta, "%+.1f%%", 100.0 * (cpf - fifo) / fifo);
     t2.addRow({std::to_string(procs), formatDuration(fifo),

@@ -15,7 +15,7 @@ mcsim::dag::Workflow makeDemoPipeline() {
   using namespace mcsim;
   // An alignment-then-variant-call shaped pipeline: one big reference, many
   // sample shards, a joint-call fan-in.
-  dag::Workflow wf("variant-calling");
+  dag::WorkflowBuilder wf("variant-calling");
   const dag::FileId reference = wf.addFile("reference.fa", Bytes::fromGB(3.0));
   const dag::TaskId merge = wf.addTask("joint_call", "joint", 1800.0);
   for (int s = 0; s < 12; ++s) {
@@ -38,8 +38,7 @@ mcsim::dag::Workflow makeDemoPipeline() {
   }
   const dag::FileId vcf = wf.addFile("cohort.vcf", Bytes::fromGB(1.5));
   wf.addOutput(merge, vcf);
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 }  // namespace

@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <queue>
-#include <stdexcept>
 
 namespace mcsim::dag {
-namespace {
-
-void requireFinalized(const Workflow& wf, const char* fn) {
-  if (!wf.finalized())
-    throw std::logic_error(std::string(fn) + ": workflow not finalized");
-}
-
-}  // namespace
 
 std::vector<TaskId> topologicalOrder(const Workflow& wf) {
-  requireFinalized(wf, "topologicalOrder");
   std::vector<std::size_t> pending(wf.taskCount());
   std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>> ready;
   for (const Task& t : wf.tasks()) {
@@ -35,7 +25,6 @@ std::vector<TaskId> topologicalOrder(const Workflow& wf) {
 }
 
 std::vector<double> earliestStartTimes(const Workflow& wf) {
-  requireFinalized(wf, "earliestStartTimes");
   std::vector<double> est(wf.taskCount(), 0.0);
   for (TaskId id : topologicalOrder(wf)) {
     const Task& t = wf.task(id);
@@ -97,7 +86,6 @@ std::vector<TaskId> criticalPathTasks(const Workflow& wf) {
 }
 
 std::vector<std::size_t> levelWidths(const Workflow& wf) {
-  requireFinalized(wf, "levelWidths");
   std::vector<std::size_t> widths(static_cast<std::size_t>(wf.levelCount()), 0);
   for (const Task& t : wf.tasks()) widths[static_cast<std::size_t>(t.level - 1)]++;
   return widths;

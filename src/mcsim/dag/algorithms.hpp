@@ -1,4 +1,4 @@
-// Graph algorithms over finalized workflows: orderings, critical path,
+// Graph algorithms over workflows: orderings, critical path,
 // parallelism profile.  These are the structural quantities the paper
 // reports (levels, maximum parallelism) and the analytic bounds the tests
 // check the simulator against (makespan >= critical path, etc.).
@@ -11,7 +11,7 @@
 namespace mcsim::dag {
 
 /// A deterministic topological order (Kahn's algorithm with a min-id ready
-/// set).  Requires a finalized workflow.
+/// set).
 std::vector<TaskId> topologicalOrder(const Workflow& wf);
 
 /// Length of the longest runtime-weighted path, in seconds: the makespan

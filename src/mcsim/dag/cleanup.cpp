@@ -6,8 +6,6 @@
 namespace mcsim::dag {
 
 CleanupPlan analyzeCleanup(const Workflow& wf) {
-  if (!wf.finalized())
-    throw std::logic_error("analyzeCleanup: workflow not finalized");
   CleanupPlan plan;
   plan.remainingUses.resize(wf.fileCount(), 0);
   plan.isOutput.resize(wf.fileCount(), false);

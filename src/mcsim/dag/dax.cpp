@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "mcsim/util/xml.hpp"
 
@@ -30,22 +31,22 @@ Workflow readDax(std::string_view xmlText) {
   if (root->name != "adag")
     throw std::runtime_error("dax: root element must be <adag>, got <" +
                              root->name + ">");
-  Workflow wf(root->attr("name", "workflow"));
+  WorkflowBuilder wf(root->attr("name", "workflow"));
 
   std::map<std::string, TaskId> taskByJobId;
-  std::map<std::string, FileId> fileByName;
+  std::map<std::string, std::pair<FileId, Bytes>> fileByName;
 
   auto internFile = [&](const std::string& name, Bytes size) {
     auto it = fileByName.find(name);
     if (it != fileByName.end()) {
-      const File& existing = wf.file(it->second);
-      if (std::fabs(existing.size.value() - size.value()) > 0.5)
+      const auto& [id, existing] = it->second;
+      if (std::fabs(existing.value() - size.value()) > 0.5)
         throw std::runtime_error("dax: file '" + name +
                                  "' mentioned with conflicting sizes");
-      return it->second;
+      return id;
     }
     const FileId id = wf.addFile(name, size);
-    fileByName.emplace(name, id);
+    fileByName.emplace(name, std::make_pair(id, size));
     return id;
   };
 
@@ -98,8 +99,7 @@ Workflow readDax(std::string_view xmlText) {
     }
   }
 
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 Workflow readDaxFile(const std::string& path) {

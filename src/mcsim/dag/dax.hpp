@@ -27,16 +27,17 @@
 
 namespace mcsim::dag {
 
-/// Parse a DAX document into a finalized workflow.
+/// Parse a DAX document into a workflow.
 /// Throws xml::ParseError on malformed XML and std::runtime_error on
 /// structural problems (unknown link kind, duplicate job id, size mismatch
-/// between two mentions of one file, ...).
+/// between two mentions of one file, ...); graph errors surface as the
+/// WorkflowBuilder's exceptions (a second producer, a cycle, ...).
 Workflow readDax(std::string_view xmlText);
 
 /// Read a DAX file from disk.
 Workflow readDaxFile(const std::string& path);
 
-/// Serialize a finalized workflow as DAX.  Reading the output back yields an
+/// Serialize a workflow as DAX.  Reading the output back yields an
 /// equivalent workflow (same tasks, files, sizes, runtimes, dependencies).
 std::string writeDax(const Workflow& wf);
 

@@ -7,41 +7,46 @@ namespace mcsim::dag {
 
 namespace {
 
-/// Append one part into `merged`, every name prefixed with `prefix`.
+/// Append one part into `merged`, every name prefixed with `prefix`.  A
+/// release time > 0 replaces the release time of the part's source tasks.
 /// `taskMap`/`fileMap` are caller-owned scratch so the per-part id tables
 /// are allocated once per batch, not once per part.
-void appendPart(Workflow& merged, const Workflow& part,
-                const std::string& prefix, std::vector<TaskId>& taskMap,
-                std::vector<FileId>& fileMap, std::string& nameScratch) {
-  auto prefixed = [&](const std::string& name) {
+void appendPart(WorkflowBuilder& merged, const Workflow& part,
+                const std::string& prefix, double releaseSeconds,
+                std::vector<TaskId>& taskMap, std::vector<FileId>& fileMap,
+                std::string& nameScratch) {
+  auto prefixed = [&](const std::string& name) -> const std::string& {
     nameScratch.assign(prefix);
     nameScratch.append(name);
     return nameScratch;
   };
 
   fileMap.resize(part.fileCount());
-  for (const File& f : part.files())
+  for (const File& f : part.files()) {
     fileMap[f.id] = merged.addFile(prefixed(f.name), f.size);
+    if (f.explicitOutput) merged.markExplicitOutput(fileMap[f.id]);
+  }
   taskMap.resize(part.taskCount());
-  for (const Task& t : part.tasks())
-    taskMap[t.id] = merged.addTask(prefixed(t.name), t.type, t.runtimeSeconds);
   for (const Task& t : part.tasks()) {
-    for (FileId in : t.inputs) merged.addInput(taskMap[t.id], fileMap[in]);
-    for (FileId out : t.outputs) merged.addOutput(taskMap[t.id], fileMap[out]);
+    const TaskId id =
+        merged.addTask(prefixed(t.name), t.type, t.runtimeSeconds);
+    taskMap[t.id] = id;
+    for (FileId in : t.inputs) merged.addInput(id, fileMap[in]);
+    for (FileId out : t.outputs) merged.addOutput(id, fileMap[out]);
+    const double release = releaseSeconds > 0.0 && t.parents.empty()
+                               ? releaseSeconds
+                               : t.earliestStartSeconds;
+    if (release > 0.0) merged.setEarliestStart(id, release);
   }
   for (const auto& [parent, child] : part.controlDependencies())
     merged.addControlDependency(taskMap[parent], taskMap[child]);
-  for (const File& f : part.files())
-    if (f.explicitOutput) merged.markExplicitOutput(fileMap[f.id]);
-  for (const Task& t : part.tasks())
-    if (t.earliestStartSeconds > 0.0)
-      merged.setEarliestStart(taskMap[t.id], t.earliestStartSeconds);
 }
 
-}  // namespace
-
-Workflow mergeWorkflows(const std::vector<Workflow>& parts,
-                        const std::string& name) {
+/// mergeWorkflows with one release time per part, or none when
+/// `releaseSeconds` is empty.
+Workflow mergeParts(const std::vector<Workflow>& parts,
+                    const std::vector<double>& releaseSeconds,
+                    const std::string& name) {
   if (parts.empty())
     throw std::invalid_argument("mergeWorkflows: no parts");
 
@@ -60,7 +65,7 @@ Workflow mergeWorkflows(const std::vector<Workflow>& parts,
   }
 
   // Reserve the whole batch up front: at 10³+ parts the doubling cascade on
-  // the merged task/file tables used to dominate build time.
+  // the task/file columns used to dominate build time.
   std::size_t totalTasks = 0;
   std::size_t totalFiles = 0;
   for (const Workflow& part : parts) {
@@ -68,15 +73,23 @@ Workflow mergeWorkflows(const std::vector<Workflow>& parts,
     totalFiles += part.fileCount();
   }
 
-  Workflow merged(name);
-  merged.reserve(totalTasks, totalFiles);
+  WorkflowBuilder merged(name);
+  merged.reserve(totalTasks, totalFiles, 0, 0);
   std::vector<TaskId> taskMap;
   std::vector<FileId> fileMap;
   std::string nameScratch;
   for (std::size_t i = 0; i < parts.size(); ++i)
-    appendPart(merged, parts[i], prefixes[i], taskMap, fileMap, nameScratch);
-  merged.finalize();
-  return merged;
+    appendPart(merged, parts[i], prefixes[i],
+               releaseSeconds.empty() ? 0.0 : releaseSeconds[i], taskMap,
+               fileMap, nameScratch);
+  return merged.build();
+}
+
+}  // namespace
+
+Workflow mergeWorkflows(const std::vector<Workflow>& parts,
+                        const std::string& name) {
+  return mergeParts(parts, {}, name);
 }
 
 Workflow mergeWorkflowsStaggered(const std::vector<Workflow>& parts,
@@ -85,20 +98,11 @@ Workflow mergeWorkflowsStaggered(const std::vector<Workflow>& parts,
   if (releaseSeconds.size() != parts.size())
     throw std::invalid_argument(
         "mergeWorkflowsStaggered: one release time per part required");
-  Workflow merged = mergeWorkflows(parts, name);
-  const std::vector<TaskId> offsets = partTaskOffsets(parts);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (releaseSeconds[i] < 0.0)
+  for (double release : releaseSeconds)
+    if (release < 0.0)
       throw std::invalid_argument(
           "mergeWorkflowsStaggered: negative release time");
-    // 0.0 is the exact "released at start" default, never a computed sum.
-    // mcsim-lint: allow(float-equality)
-    if (releaseSeconds[i] == 0.0) continue;
-    for (const Task& t : parts[i].tasks())
-      if (t.parents.empty())
-        merged.setEarliestStart(offsets[i] + t.id, releaseSeconds[i]);
-  }
-  return merged;
+  return mergeParts(parts, releaseSeconds, name);
 }
 
 std::vector<TaskId> partTaskOffsets(const std::vector<Workflow>& parts) {
@@ -122,17 +126,16 @@ Workflow replicateWorkflow(const Workflow& wf, int count,
   // quadratic-feeling memory pressure at survey scale.  Prefixes stay
   // positional ("req<i>/"), matching the non-unique-name path of
   // mergeWorkflows byte for byte.
-  Workflow merged(name);
+  WorkflowBuilder merged(name);
   merged.reserve(static_cast<std::size_t>(count) * wf.taskCount(),
-                 static_cast<std::size_t>(count) * wf.fileCount());
+                 static_cast<std::size_t>(count) * wf.fileCount(), 0, 0);
   std::vector<TaskId> taskMap;
   std::vector<FileId> fileMap;
   std::string nameScratch;
   for (int i = 0; i < count; ++i)
-    appendPart(merged, wf, "req" + std::to_string(i) + "/", taskMap, fileMap,
-               nameScratch);
-  merged.finalize();
-  return merged;
+    appendPart(merged, wf, "req" + std::to_string(i) + "/", 0.0, taskMap,
+               fileMap, nameScratch);
+  return merged.build();
 }
 
 }  // namespace mcsim::dag

@@ -12,7 +12,7 @@
 
 namespace mcsim::dag {
 
-/// Concatenate `parts` into one finalized workflow.  Each part's task and
+/// Concatenate `parts` into one workflow.  Each part's task and
 /// file names are prefixed with "<partName>/" (or "req<i>/" when names
 /// repeat) so merged identities stay unique; the parts remain mutually
 /// independent — no edges are added between them.  Sizes, runtimes,

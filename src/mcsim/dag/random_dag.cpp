@@ -9,7 +9,7 @@ namespace mcsim::dag {
 
 Workflow makeRandomWorkflow(std::uint64_t seed, const RandomDagOptions& opt) {
   Rng rng(seed);
-  Workflow wf("random-" + std::to_string(seed));
+  WorkflowBuilder wf("random-" + std::to_string(seed));
 
   const int layers = static_cast<int>(rng.uniformInt(opt.minLayers, opt.maxLayers));
 
@@ -68,8 +68,7 @@ Workflow makeRandomWorkflow(std::uint64_t seed, const RandomDagOptions& opt) {
     wf.addOutput(sink, final);
   }
 
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 }  // namespace mcsim::dag

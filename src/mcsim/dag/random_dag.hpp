@@ -33,7 +33,7 @@ struct RandomDagOptions {
   bool addSink = true;
 };
 
-/// Build a random finalized workflow from `seed`.  The same seed and options
+/// Build a random workflow from `seed`.  The same seed and options
 /// always produce the same workflow.
 Workflow makeRandomWorkflow(std::uint64_t seed,
                             const RandomDagOptions& options = {});

@@ -1,7 +1,6 @@
 #include "mcsim/dag/stats.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace mcsim::dag {
 
@@ -18,8 +17,6 @@ void Distribution::add(double value) {
 }
 
 WorkflowStats computeStats(const Workflow& wf) {
-  if (!wf.finalized())
-    throw std::logic_error("computeStats: workflow not finalized");
   WorkflowStats stats;
   for (const Task& t : wf.tasks()) {
     TypeStats& type = stats.byType[t.type];

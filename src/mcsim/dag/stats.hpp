@@ -39,7 +39,7 @@ struct WorkflowStats {
   Distribution fileSizes;  ///< Over all files.
 };
 
-/// Compute the full profile of a finalized workflow.
+/// Compute the full profile of a workflow.
 WorkflowStats computeStats(const Workflow& wf);
 
 }  // namespace mcsim::dag

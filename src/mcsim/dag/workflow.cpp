@@ -8,166 +8,6 @@ namespace mcsim::dag {
 
 Workflow::Workflow(std::string name) : name_(std::move(name)) {}
 
-void Workflow::reserve(std::size_t tasks, std::size_t files) {
-  tasks_.reserve(tasks);
-  files_.reserve(files);
-}
-
-void Workflow::requireNotFinalized(const char* op) const {
-  if (finalized_)
-    throw std::logic_error(std::string("Workflow: ") + op +
-                           " after finalize()");
-}
-
-void Workflow::requireValidTask(TaskId id) const {
-  if (id >= tasks_.size())
-    throw std::out_of_range("Workflow: invalid task id " + std::to_string(id));
-}
-
-void Workflow::requireValidFile(FileId id) const {
-  if (id >= files_.size())
-    throw std::out_of_range("Workflow: invalid file id " + std::to_string(id));
-}
-
-TaskId Workflow::addTask(std::string name, std::string type,
-                         double runtimeSeconds) {
-  requireNotFinalized("addTask");
-  if (runtimeSeconds < 0.0)
-    throw std::invalid_argument("Workflow::addTask: negative runtime");
-  Task t;
-  t.id = static_cast<TaskId>(tasks_.size());
-  t.name = std::move(name);
-  t.type = std::move(type);
-  t.runtimeSeconds = runtimeSeconds;
-  tasks_.push_back(std::move(t));
-  return tasks_.back().id;
-}
-
-FileId Workflow::addFile(std::string name, Bytes size) {
-  requireNotFinalized("addFile");
-  if (size.value() < 0.0)
-    throw std::invalid_argument("Workflow::addFile: negative size");
-  File f;
-  f.id = static_cast<FileId>(files_.size());
-  f.name = std::move(name);
-  f.size = size;
-  files_.push_back(std::move(f));
-  return files_.back().id;
-}
-
-void Workflow::addInput(TaskId task, FileId file) {
-  requireNotFinalized("addInput");
-  requireValidTask(task);
-  requireValidFile(file);
-  if (files_[file].producer == task)
-    throw std::invalid_argument("Workflow::addInput: task '" +
-                                tasks_[task].name + "' produces '" +
-                                files_[file].name + "'");
-  // Until finalize, addInput is the only writer of both lists, so "file is
-  // in the task's inputs" and "task is in the file's consumers" are the same
-  // test: scan the shorter list, keeping a fan-in task's build linear.
-  auto& ins = tasks_[task].inputs;
-  auto& consumers = files_[file].consumers;
-  const bool duplicate =
-      ins.size() <= consumers.size()
-          ? std::find(ins.begin(), ins.end(), file) != ins.end()
-          : std::find(consumers.begin(), consumers.end(), task) !=
-                consumers.end();
-  if (duplicate)
-    throw std::invalid_argument("Workflow::addInput: duplicate input binding");
-  ins.push_back(file);
-  consumers.push_back(task);
-}
-
-void Workflow::addOutput(TaskId task, FileId file) {
-  requireNotFinalized("addOutput");
-  requireValidTask(task);
-  requireValidFile(file);
-  if (files_[file].producer != kNoTask)
-    throw std::invalid_argument("Workflow::addOutput: file '" +
-                                files_[file].name +
-                                "' already has a producer");
-  const auto& ins = tasks_[task].inputs;
-  if (std::find(ins.begin(), ins.end(), file) != ins.end())
-    throw std::invalid_argument("Workflow::addOutput: task '" +
-                                tasks_[task].name + "' consumes '" +
-                                files_[file].name + "'");
-  files_[file].producer = task;
-  tasks_[task].outputs.push_back(file);
-}
-
-void Workflow::addControlDependency(TaskId parent, TaskId child) {
-  requireNotFinalized("addControlDependency");
-  requireValidTask(parent);
-  requireValidTask(child);
-  if (parent == child)
-    throw std::invalid_argument("Workflow: self control dependency");
-  controlEdges_.emplace_back(parent, child);
-}
-
-void Workflow::markExplicitOutput(FileId file) {
-  requireValidFile(file);
-  files_[file].explicitOutput = true;
-}
-
-void Workflow::finalize() {
-  if (finalized_) return;
-
-  // Derive edges: file producer -> each consumer, plus explicit control
-  // edges.  A parent may feed a child several files, so collect raw edges
-  // first and sort + unique per task — measured faster than the previous
-  // hash-set-per-task at every scale (no per-task allocation churn, no hash
-  // overhead), and the sorted result is identical.
-  for (Task& t : tasks_) {
-    t.parents.clear();
-    t.children.clear();
-  }
-  for (const File& f : files_) {
-    if (f.producer == kNoTask) continue;
-    for (TaskId consumer : f.consumers) {
-      if (consumer == f.producer)
-        throw std::logic_error("Workflow: task '" + tasks_[consumer].name +
-                               "' both produces and consumes '" + f.name + "'");
-      tasks_[consumer].parents.push_back(f.producer);
-    }
-  }
-  for (const auto& [parent, child] : controlEdges_)
-    tasks_[child].parents.push_back(parent);
-
-  for (Task& t : tasks_) {
-    std::sort(t.parents.begin(), t.parents.end());
-    t.parents.erase(std::unique(t.parents.begin(), t.parents.end()),
-                    t.parents.end());
-  }
-  for (const Task& t : tasks_)
-    for (TaskId p : t.parents) tasks_[p].children.push_back(t.id);
-  for (Task& t : tasks_) std::sort(t.children.begin(), t.children.end());
-
-  // Kahn's algorithm: validates acyclicity and yields levels in one pass
-  // (paper definition: sources are level 1; otherwise 1 + max parent level).
-  // A plain vector serves as the queue — pop order (index sweep) still
-  // visits every ready task exactly once.
-  std::vector<std::size_t> pendingParents(tasks_.size());
-  std::vector<TaskId> ready;
-  ready.reserve(tasks_.size());
-  for (Task& t : tasks_) {
-    pendingParents[t.id] = t.parents.size();
-    t.level = 1;
-    if (t.parents.empty()) ready.push_back(t.id);
-  }
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const Task& t = tasks_[ready[head]];
-    for (TaskId c : t.children) {
-      tasks_[c].level = std::max(tasks_[c].level, t.level + 1);
-      if (--pendingParents[c] == 0) ready.push_back(c);
-    }
-  }
-  if (ready.size() != tasks_.size())
-    throw std::logic_error("Workflow '" + name_ + "' contains a cycle");
-
-  finalized_ = true;
-}
-
 void Workflow::scaleAllFileSizes(double factor) {
   if (!(factor > 0.0))
     throw std::invalid_argument("Workflow::scaleAllFileSizes: factor must be > 0");
@@ -175,7 +15,9 @@ void Workflow::scaleAllFileSizes(double factor) {
 }
 
 void Workflow::setEarliestStart(TaskId task, double seconds) {
-  requireValidTask(task);
+  if (task >= tasks_.size())
+    throw std::out_of_range("Workflow: invalid task id " +
+                            std::to_string(task));
   if (seconds < 0.0)
     throw std::invalid_argument("Workflow::setEarliestStart: negative time");
   tasks_[task].earliestStartSeconds = seconds;
@@ -257,10 +99,8 @@ void WorkflowBuilder::reserve(std::size_t tasks, std::size_t files,
   taskType_.reserve(tasks);
   taskRuntime_.reserve(tasks);
   taskEarliestStart_.reserve(tasks);
-  taskInputStart_.reserve(tasks);
-  taskOutputStart_.reserve(tasks);
-  taskInputs_.reserve(inputEdges);
-  taskOutputs_.reserve(outputEdges);
+  inputs_.reserve(inputEdges);
+  outputs_.reserve(outputEdges);
   fileName_.reserve(files);
   fileSize_.reserve(files);
   fileProducer_.reserve(files);
@@ -286,13 +126,16 @@ std::uint32_t WorkflowBuilder::internType(std::string_view type) {
   return static_cast<std::uint32_t>(typeTable_.size() - 1);
 }
 
-void WorkflowBuilder::requireNewestTask(TaskId task, const char* op) const {
-  if (taskRuntime_.empty() || task + 1 != taskRuntime_.size())
-    throw std::logic_error(
-        std::string("WorkflowBuilder::") + op + ": task " +
-        std::to_string(task) +
-        " is not the most recently added task (streaming order: bindings "
-        "attach only to the newest task)");
+void WorkflowBuilder::requireTask(TaskId task) const {
+  if (task >= taskRuntime_.size())
+    throw std::out_of_range("WorkflowBuilder: invalid task id " +
+                            std::to_string(task));
+}
+
+void WorkflowBuilder::requireFile(FileId file) const {
+  if (file >= fileSize_.size())
+    throw std::out_of_range("WorkflowBuilder: invalid file id " +
+                            std::to_string(file));
 }
 
 TaskId WorkflowBuilder::addTask(std::string_view name, std::string_view type,
@@ -304,9 +147,6 @@ TaskId WorkflowBuilder::addTask(std::string_view name, std::string_view type,
   taskType_.push_back(internType(type));
   taskRuntime_.push_back(runtimeSeconds);
   taskEarliestStart_.push_back(0.0);
-  // CSR fence: this task's edge ranges begin where the previous one ended.
-  taskInputStart_.push_back(taskInputs_.size());
-  taskOutputStart_.push_back(taskOutputs_.size());
   return id;
 }
 
@@ -323,72 +163,39 @@ FileId WorkflowBuilder::addFile(std::string_view name, Bytes size) {
 }
 
 void WorkflowBuilder::addInput(TaskId task, FileId file) {
-  requireNewestTask(task, "addInput");
-  if (file >= fileSize_.size())
-    throw std::out_of_range("WorkflowBuilder: invalid file id " +
-                            std::to_string(file));
-  if (fileProducer_[file] == task)
-    throw std::invalid_argument(
-        "WorkflowBuilder::addInput: task '" +
-        std::string(nameAt(taskName_[task])) + "' produces '" +
-        std::string(nameAt(fileName_[file])) + "'");
-  // Duplicate scan only over this task's (open) input range — same contract
-  // as Workflow::addInput but bounded by one task's degree.
-  for (std::size_t i = taskInputStart_[task]; i < taskInputs_.size(); ++i)
-    if (taskInputs_[i] == file)
-      throw std::invalid_argument(
-          "WorkflowBuilder::addInput: duplicate input binding");
-  taskInputs_.push_back(file);
+  requireTask(task);
+  requireFile(file);
+  inputs_.emplace_back(task, file);
   ++fileConsumers_[file];
 }
 
 void WorkflowBuilder::addOutput(TaskId task, FileId file) {
-  requireNewestTask(task, "addOutput");
-  if (file >= fileSize_.size())
-    throw std::out_of_range("WorkflowBuilder: invalid file id " +
-                            std::to_string(file));
+  requireTask(task);
+  requireFile(file);
   if (fileProducer_[file] != kNoTask)
     throw std::invalid_argument("WorkflowBuilder::addOutput: file '" +
                                 std::string(nameAt(fileName_[file])) +
                                 "' already has a producer");
-  if (fileConsumers_[file] != 0)
-    throw std::logic_error(
-        "WorkflowBuilder::addOutput: file '" +
-        std::string(nameAt(fileName_[file])) +
-        "' already has consumers (streaming order: declare the producer "
-        "before any consumer binds the file)");
-  for (std::size_t i = taskInputStart_[task]; i < taskInputs_.size(); ++i)
-    if (taskInputs_[i] == file)
-      throw std::invalid_argument(
-          "WorkflowBuilder::addOutput: task '" +
-          std::string(nameAt(taskName_[task])) + "' consumes '" +
-          std::string(nameAt(fileName_[file])) + "'");
   fileProducer_[file] = task;
-  taskOutputs_.push_back(file);
+  outputs_.emplace_back(task, file);
 }
 
 void WorkflowBuilder::addControlDependency(TaskId parent, TaskId child) {
-  if (parent >= taskRuntime_.size() || child >= taskRuntime_.size())
-    throw std::out_of_range("WorkflowBuilder: invalid task id");
-  if (parent >= child)
-    throw std::logic_error(
-        "WorkflowBuilder::addControlDependency: parent " +
-        std::to_string(parent) + " does not precede child " +
-        std::to_string(child) + " (streaming order)");
+  requireTask(parent);
+  requireTask(child);
+  if (parent == child)
+    throw std::invalid_argument(
+        "WorkflowBuilder::addControlDependency: self control dependency");
   controlEdges_.emplace_back(parent, child);
 }
 
 void WorkflowBuilder::markExplicitOutput(FileId file) {
-  if (file >= fileSize_.size())
-    throw std::out_of_range("WorkflowBuilder: invalid file id " +
-                            std::to_string(file));
+  requireFile(file);
   fileExplicitOutput_[file] = true;
 }
 
 void WorkflowBuilder::setEarliestStart(TaskId task, double seconds) {
-  if (task >= taskRuntime_.size())
-    throw std::out_of_range("WorkflowBuilder: invalid task id " +
-                            std::to_string(task));
+  requireTask(task);
   if (seconds < 0.0)
     throw std::invalid_argument(
         "WorkflowBuilder::setEarliestStart: negative time");
@@ -401,10 +208,8 @@ void WorkflowBuilder::clear() {
   taskType_.clear();
   taskRuntime_.clear();
   taskEarliestStart_.clear();
-  taskInputs_.clear();
-  taskInputStart_.clear();
-  taskOutputs_.clear();
-  taskOutputStart_.clear();
+  inputs_.clear();
+  outputs_.clear();
   fileName_.clear();
   fileSize_.clear();
   fileProducer_.clear();
@@ -417,19 +222,20 @@ void WorkflowBuilder::clear() {
 Workflow WorkflowBuilder::build() {
   const std::size_t taskCount = taskRuntime_.size();
   const std::size_t fileCount = fileSize_.size();
-  if (taskCount == 0)
-    throw std::logic_error("WorkflowBuilder::build: empty builder");
+
+  // Group the bindings by task, keeping each task's call order.  A
+  // generator that binds only its newest task (the survey, Montage) has
+  // them grouped already and pays one scan.
+  auto byTask = [](const Binding& a, const Binding& b) {
+    return a.first < b.first;
+  };
+  for (std::vector<Binding>* bindings : {&inputs_, &outputs_})
+    if (!std::is_sorted(bindings->begin(), bindings->end(), byTask))
+      std::stable_sort(bindings->begin(), bindings->end(), byTask);
 
   Workflow wf(name_);
   wf.tasks_.resize(taskCount);
   wf.files_.resize(fileCount);
-
-  auto inputEnd = [&](std::size_t t) {
-    return t + 1 < taskCount ? taskInputStart_[t + 1] : taskInputs_.size();
-  };
-  auto outputEnd = [&](std::size_t t) {
-    return t + 1 < taskCount ? taskOutputStart_[t + 1] : taskOutputs_.size();
-  };
 
   for (std::size_t i = 0; i < fileCount; ++i) {
     File& f = wf.files_[i];
@@ -441,51 +247,81 @@ Workflow WorkflowBuilder::build() {
     f.explicitOutput = fileExplicitOutput_[i];
   }
 
+  // Materialize tasks in id order, so every consumer list fills in
+  // ascending task order and `consumers.back() == id` asks whether the
+  // task being built already reads the file.
+  std::size_t in = 0;
+  std::size_t out = 0;
   for (std::size_t i = 0; i < taskCount; ++i) {
     Task& t = wf.tasks_[i];
-    t.id = static_cast<TaskId>(i);
+    const TaskId id = static_cast<TaskId>(i);
+    t.id = id;
     t.name = std::string(nameAt(taskName_[i]));
     t.type = typeTable_[taskType_[i]];
     t.runtimeSeconds = taskRuntime_[i];
     t.earliestStartSeconds = taskEarliestStart_[i];
-    t.inputs.assign(taskInputs_.begin() +
-                        static_cast<std::ptrdiff_t>(taskInputStart_[i]),
-                    taskInputs_.begin() +
-                        static_cast<std::ptrdiff_t>(inputEnd(i)));
-    t.outputs.assign(taskOutputs_.begin() +
-                         static_cast<std::ptrdiff_t>(taskOutputStart_[i]),
-                     taskOutputs_.begin() +
-                         static_cast<std::ptrdiff_t>(outputEnd(i)));
-    // Consumer lists fill in ascending task order — the same order the
-    // legacy path records when the identical call sequence is replayed.
-    for (FileId file : t.inputs)
-      wf.files_[file].consumers.push_back(t.id);
-    // Parents: producers of inputs plus control parents; sort + unique
-    // matches finalize() exactly.
-    for (FileId file : t.inputs)
+
+    const std::size_t inBegin = in;
+    while (in < inputs_.size() && inputs_[in].first == id) ++in;
+    t.inputs.reserve(in - inBegin);
+    for (std::size_t k = inBegin; k < in; ++k) {
+      const FileId file = inputs_[k].second;
+      std::vector<TaskId>& consumers = wf.files_[file].consumers;
+      if (!consumers.empty() && consumers.back() == id)
+        throw std::invalid_argument("WorkflowBuilder: task '" + t.name +
+                                    "' binds input '" + wf.files_[file].name +
+                                    "' twice");
+      consumers.push_back(id);
+      t.inputs.push_back(file);
       if (fileProducer_[file] != kNoTask)
         t.parents.push_back(fileProducer_[file]);
+    }
+
+    const std::size_t outBegin = out;
+    while (out < outputs_.size() && outputs_[out].first == id) ++out;
+    t.outputs.reserve(out - outBegin);
+    for (std::size_t k = outBegin; k < out; ++k) {
+      const FileId file = outputs_[k].second;
+      const std::vector<TaskId>& consumers = wf.files_[file].consumers;
+      if (!consumers.empty() && consumers.back() == id)
+        throw std::invalid_argument("WorkflowBuilder: task '" + t.name +
+                                    "' both produces and consumes '" +
+                                    wf.files_[file].name + "'");
+      t.outputs.push_back(file);
+    }
   }
   for (const auto& [parent, child] : controlEdges_)
     wf.tasks_[child].parents.push_back(parent);
 
-  // Streaming order guarantees every parent id < child id, so one ascending
-  // sweep computes levels (paper definition) with no Kahn queue, and the
-  // children lists it fills are sorted for free.
+  // Kahn's algorithm yields the paper's levels (sources are level 1, any
+  // other task 1 + the highest level among its parents) and rejects cycles.
+  // Parents are deduplicated and children pushed in one ascending loop, so
+  // children come out sorted.
+  std::vector<std::uint32_t> pendingParents(taskCount);
+  std::vector<TaskId> ready;
+  ready.reserve(taskCount);
   for (std::size_t i = 0; i < taskCount; ++i) {
     Task& t = wf.tasks_[i];
     std::sort(t.parents.begin(), t.parents.end());
     t.parents.erase(std::unique(t.parents.begin(), t.parents.end()),
                     t.parents.end());
+    for (TaskId p : t.parents) wf.tasks_[p].children.push_back(t.id);
+    pendingParents[i] = static_cast<std::uint32_t>(t.parents.size());
     t.level = 1;
-    for (TaskId p : t.parents) {
-      wf.tasks_[p].children.push_back(t.id);
-      t.level = std::max(t.level, wf.tasks_[p].level + 1);
+    if (t.parents.empty()) ready.push_back(t.id);
+  }
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const Task& t = wf.tasks_[ready[head]];
+    for (TaskId c : t.children) {
+      Task& child = wf.tasks_[c];
+      child.level = std::max(child.level, t.level + 1);
+      if (--pendingParents[c] == 0) ready.push_back(c);
     }
   }
+  if (ready.size() != taskCount)
+    throw std::logic_error("Workflow '" + name_ + "' contains a cycle");
 
   wf.controlEdges_ = std::move(controlEdges_);
-  wf.finalized_ = true;
   clear();
   return wf;
 }

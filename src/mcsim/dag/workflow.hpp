@@ -51,50 +51,26 @@ struct Task {
   /// Earliest time (seconds from run start) this task may begin — models a
   /// request arriving at a running service.  0 = available immediately.
   double earliestStartSeconds = 0.0;
-  // Derived by finalize():
+  // Derived by WorkflowBuilder::build():
   std::vector<TaskId> parents;
   std::vector<TaskId> children;
-  int level = 0;  ///< Paper's level; 1-based.  0 until finalize().
+  int level = 0;  ///< Paper's level; 1-based.
 };
 
-/// A complete workflow.  Build with addTask/addFile/bind calls, then call
-/// finalize() to derive the task graph, validate acyclicity and compute
-/// levels.  Structural mutation after finalize() throws; file sizes may be
-/// rescaled at any time (CCR experiments change only sizes).
+/// A complete workflow: the task graph with every derived field filled in.
+/// WorkflowBuilder::build() is the only way to make one, so every Workflow
+/// is acyclic and has its parents, children and levels derived.  Its
+/// structure is fixed; file sizes, runtimes and release times may still be
+/// rescaled or set (CCR experiments change only sizes).
 class Workflow {
  public:
-  explicit Workflow(std::string name);
-
-  // -- construction ---------------------------------------------------------
-  /// Pre-size the task and file tables — one allocation each instead of a
-  /// doubling cascade.  Batch composition (dag/merge) and generators that
-  /// know their closed-form counts should call this first.
-  void reserve(std::size_t tasks, std::size_t files);
-  TaskId addTask(std::string name, std::string type, double runtimeSeconds);
-  FileId addFile(std::string name, Bytes size);
-  /// Declare `file` as an input of `task`.
-  void addInput(TaskId task, FileId file);
-  /// Declare `file` as an output of `task`.  A file may have at most one
-  /// producer; a second producer throws.
-  void addOutput(TaskId task, FileId file);
-  /// Add an explicit control dependency (parent must finish before child
-  /// starts) that is not mediated by a file.
-  void addControlDependency(TaskId parent, TaskId child);
-  /// Flag a consumed file as nonetheless being a user-visible output.
-  void markExplicitOutput(FileId file);
-
-  /// Derive parents/children from data flow plus control edges, de-duplicate,
-  /// verify the graph is acyclic, and compute levels.  Idempotent.
-  void finalize();
-  bool finalized() const { return finalized_; }
-
-  // -- size mutation (allowed post-finalize) --------------------------------
+  // -- attribute mutation -----------------------------------------------------
   /// Multiply every file size by `factor` (> 0) — the paper's CCR knob.
   void scaleAllFileSizes(double factor);
   /// Multiply every task runtime by `factor` (> 0) — used by workload
   /// calibration.  Structure (and levels) are unaffected.
   void scaleAllRuntimes(double factor);
-  /// Set a task's release time (>= 0).  Allowed post-finalize.
+  /// Set a task's release time (>= 0).
   void setEarliestStart(TaskId task, double seconds);
 
   // -- accessors -------------------------------------------------------------
@@ -133,38 +109,33 @@ class Workflow {
  private:
   friend class WorkflowBuilder;
 
-  void requireNotFinalized(const char* op) const;
-  void requireValidTask(TaskId id) const;
-  void requireValidFile(FileId id) const;
+  explicit Workflow(std::string name);
 
   std::string name_;
   std::vector<Task> tasks_;
   std::vector<File> files_;
   std::vector<std::pair<TaskId, TaskId>> controlEdges_;
-  bool finalized_ = false;
 };
 
-/// Streaming, structure-of-arrays workflow construction for survey-scale
-/// DAGs (10⁶–10⁷ tasks).
+/// The one way to construct a Workflow, from a 7-task test fixture to a
+/// 10⁷-task survey campaign.
 ///
-/// `Workflow`'s add*/finalize() path is convenient but pays per-call
-/// allocation (two std::strings per task), per-binding duplicate scans and a
-/// hash-set-per-task finalize — fine at 3,027 tasks, ruinous at 10⁷.  The
-/// builder stages the same data in flat columns (one shared name arena,
-/// interned type table, CSR input/output edge lists) and imposes one extra
-/// contract in exchange for a one-pass, allocation-light finalize:
+/// Calls may come in any order a generator finds natural, as long as a task
+/// or file exists before it is referenced: inputs and outputs may bind to
+/// any earlier task (CyberShake binds its zip task's inputs last), a file's
+/// producer may be declared after its consumers, and a control edge may
+/// point from a higher task id to a lower one.  The builder stages the calls
+/// in flat columns — one shared name arena, an interned type table, and the
+/// (task, file) bindings in call order — and build() derives the graph in
+/// one pass:
 ///
-///   *Topological level order* — bindings attach only to the most recently
-///   added task, and a file must be added (and, if produced, have its
-///   producer declared) before any consumer binds it.  Generators that emit
-///   level by level satisfy this naturally.  Violations throw immediately.
-///
-/// Under that contract every parent id is smaller than its child's id, so
-/// build() derives parents/children/levels in a single forward sweep — no
-/// Kahn queue, no cycle check needed (acyclicity holds by construction) —
-/// and materializes a finalized `Workflow` indistinguishable from one built
-/// through the legacy path with the same call sequence (differential-tested;
-/// see tests/dag/builder_property_test.cpp).
+///   * bindings are grouped by task with a stable sort (skipped when they
+///     already are), so each task keeps its inputs and outputs in call
+///     order;
+///   * each file's consumers come out in ascending task order;
+///   * parents are the producers of a task's inputs plus its control
+///     parents, sorted and deduplicated; children come out sorted;
+///   * one Kahn pass computes the paper's levels and rejects cycles.
 class WorkflowBuilder {
  public:
   explicit WorkflowBuilder(std::string name);
@@ -174,30 +145,33 @@ class WorkflowBuilder {
   void reserve(std::size_t tasks, std::size_t files, std::size_t inputEdges,
                std::size_t outputEdges, std::size_t nameBytes = 0);
 
+  /// A negative runtime throws std::invalid_argument.
   TaskId addTask(std::string_view name, std::string_view type,
                  double runtimeSeconds);
+  /// A negative size throws std::invalid_argument.
   FileId addFile(std::string_view name, Bytes size);
-  /// Bind `file` as an input of `task`.  `task` must be the most recently
-  /// added task; `file` must already have its producer declared (or be
-  /// external).  Duplicate bindings and produce-and-consume throw, exactly
-  /// like Workflow::addInput.
+  /// Bind `file` as an input of `task`.  Binding a file twice to one task,
+  /// or to the task that produces it, makes build() throw
+  /// std::invalid_argument.
   void addInput(TaskId task, FileId file);
-  /// Declare `task` as the producer of `file`.  `task` must be the most
-  /// recently added task and `file` must have no producer and no consumers
-  /// yet (producers are declared before consumers in streaming order).
+  /// Declare `task` as the producer of `file`.  A file has at most one
+  /// producer: a second throws std::invalid_argument.
   void addOutput(TaskId task, FileId file);
-  /// Control-only edge; `parent` must precede `child` (streaming order).
+  /// Control-only edge: `parent` must finish before `child` starts.
   void addControlDependency(TaskId parent, TaskId child);
+  /// Flag a consumed file as nonetheless being a user-visible output.
   void markExplicitOutput(FileId file);
   void setEarliestStart(TaskId task, double seconds);
+  // Every id argument above must name an existing task or file; an unknown
+  // id throws std::out_of_range.
 
   std::size_t taskCount() const { return taskRuntime_.size(); }
   std::size_t fileCount() const { return fileSize_.size(); }
   const std::string& name() const { return name_; }
 
-  /// Derive the task graph (parents/children/levels) in one forward pass and
-  /// materialize a finalized Workflow.  The builder is left empty and may be
-  /// reused.  Throws std::logic_error if called on an empty builder.
+  /// Derive the task graph and materialize the Workflow.  Throws
+  /// std::logic_error if the graph has a cycle.  The builder is left empty
+  /// and may be reused; an empty builder builds an empty workflow.
   Workflow build();
 
  private:
@@ -205,13 +179,16 @@ class WorkflowBuilder {
     std::uint64_t offset;
     std::uint32_t length;
   };
+  /// One (task, file) binding.
+  using Binding = std::pair<TaskId, FileId>;
 
   std::string_view nameAt(NameRef ref) const {
     return std::string_view(nameArena_).substr(ref.offset, ref.length);
   }
   NameRef internName(std::string_view name);
   std::uint32_t internType(std::string_view type);
-  void requireNewestTask(TaskId task, const char* op) const;
+  void requireTask(TaskId task) const;
+  void requireFile(FileId file) const;
   void clear();
 
   std::string name_;
@@ -224,13 +201,10 @@ class WorkflowBuilder {
   std::vector<std::uint32_t> taskType_;  ///< Index into typeTable_.
   std::vector<double> taskRuntime_;
   std::vector<double> taskEarliestStart_;
-  /// CSR edge storage: task i's inputs are taskInputs_[taskInputStart_[i] ..
-  /// taskInputStart_[i+1]); the final fence is implicit (vector size) for
-  /// the newest task.  Outputs likewise.
-  std::vector<FileId> taskInputs_;
-  std::vector<std::uint64_t> taskInputStart_;
-  std::vector<FileId> taskOutputs_;
-  std::vector<std::uint64_t> taskOutputStart_;
+
+  // -- bindings, in call order -----------------------------------------------
+  std::vector<Binding> inputs_;
+  std::vector<Binding> outputs_;
 
   // -- file columns -----------------------------------------------------------
   std::vector<NameRef> fileName_;

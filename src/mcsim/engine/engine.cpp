@@ -70,10 +70,8 @@ class Run {
   }
 
   /// Argument validation, ahead of any member construction that assumes a
-  /// well-formed workflow/config.
-  static void validate(const Workflow& wf, const EngineConfig& cfg) {
-    if (!wf.finalized())
-      throw std::invalid_argument("simulateWorkflow: workflow not finalized");
+  /// well-formed config.
+  static void validate(const EngineConfig& cfg) {
     if (cfg.processors < 1)
       throw std::invalid_argument("simulateWorkflow: processors must be >= 1");
     if (cfg.vmStartupSeconds < 0.0 || cfg.vmTeardownSeconds < 0.0)
@@ -114,9 +112,12 @@ class Run {
       if (!blocked_.empty())
         throw std::runtime_error(
             "simulateWorkflow: deadlock -- " + std::to_string(blocked_.size()) +
-            " task(s) blocked on storage capacity with nothing left to free "
-            "(regular mode frees no space mid-run; use DynamicCleanup or "
-            "raise storageCapacityBytes)");
+            " task(s) blocked on storage capacity with nothing left to free " +
+            (cfg_.mode == DataMode::DynamicCleanup
+                 ? "(the live files exceed storageCapacityBytes even with "
+                   "dynamic cleanup; raise storageCapacityBytes)"
+                 : "(regular mode frees no space mid-run; use DynamicCleanup "
+                   "or raise storageCapacityBytes)"));
       throw std::logic_error(
           "simulateWorkflow: simulation drained without completing the "
           "workflow (engine bug)");
@@ -812,7 +813,7 @@ class Run {
 
 ExecutionResult simulateWorkflow(const dag::Workflow& workflow,
                                  const EngineConfig& config) {
-  Run::validate(workflow, config);
+  Run::validate(config);
   if (!config.profile || config.observer == nullptr) {
     Run run(workflow, config);
     return run.execute();

@@ -81,7 +81,7 @@ struct EngineConfig {
   bool profile = false;
 };
 
-/// Simulate one execution of `workflow` (must be finalized) and return its
+/// Simulate one execution of `workflow` and return its
 /// metrics.  Deterministic: identical inputs give identical results.
 ///
 /// Re-entrant: the engine touches no global state, so concurrent calls are

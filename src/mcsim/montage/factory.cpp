@@ -35,10 +35,11 @@ double fixedBytes(const MontageParams& p) {
          p.mosaicBytes.value() * (1.0 + p.shrinkFactor) + p.jpegBytes.value();
 }
 
-template <class Sink>
-void emit(Sink& sink, const MontageParams& p,
-          const std::vector<std::pair<int, int>>& pairs,
-          const Calibration& calib, const EmitOptions& options) {
+}  // namespace
+
+void emitMontage(dag::WorkflowBuilder& sink, const MontageParams& p,
+                 const std::vector<std::pair<int, int>>& pairs,
+                 const Calibration& calib, const EmitOptions& options) {
   using dag::FileId;
   using dag::TaskId;
 
@@ -179,8 +180,6 @@ void emit(Sink& sink, const MontageParams& p,
   if (options.rawsOut) *options.rawsOut = std::move(raws);
 }
 
-}  // namespace
-
 std::vector<std::pair<int, int>> overlapPairs(int cols, int rows, int count) {
   std::vector<std::pair<int, int>> pairs;
   auto at = [cols](int c, int r) { return r * cols + c; };
@@ -310,18 +309,6 @@ Calibration calibrate(const MontageParams& p, double cpuFactor,
   return calib;
 }
 
-void emitMontage(dag::Workflow& sink, const MontageParams& params,
-                 const std::vector<std::pair<int, int>>& pairs,
-                 const Calibration& calib, const EmitOptions& options) {
-  emit(sink, params, pairs, calib, options);
-}
-
-void emitMontage(dag::WorkflowBuilder& sink, const MontageParams& params,
-                 const std::vector<std::pair<int, int>>& pairs,
-                 const Calibration& calib, const EmitOptions& options) {
-  emit(sink, params, pairs, calib, options);
-}
-
 dag::Workflow buildMontageWorkflow(const MontageParams& p) {
   if (p.gridCols < 2 || p.gridRows < 2)
     throw std::invalid_argument("montage: grid must be at least 2x2");
@@ -337,12 +324,12 @@ dag::Workflow buildMontageWorkflow(const MontageParams& p) {
   const Calibration calib = calibrate(p, 1.0, &error);
   if (!error.empty()) throw std::invalid_argument("montage: " + error);
 
-  dag::Workflow wf(p.name);
-  wf.reserve(static_cast<std::size_t>(p.taskCount()),
-             static_cast<std::size_t>(p.fileCount()));
-  emitMontage(wf, p, pairs, calib);
-  wf.finalize();
-  return wf;
+  dag::WorkflowBuilder builder(p.name);
+  builder.reserve(static_cast<std::size_t>(p.taskCount()),
+                  static_cast<std::size_t>(p.fileCount()),
+                  p.inputEdgeCount(), p.outputEdgeCount());
+  emitMontage(builder, p, pairs, calib);
+  return builder.build();
 }
 
 dag::Workflow buildMontageWorkflow(double degrees) {

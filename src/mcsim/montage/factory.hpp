@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,6 +68,17 @@ struct MontageParams {
   /// Total files: header + n raws + 4n intermediates + m fits + 3 tables +
   /// mosaic + shrunk mosaic + preview = 5n + m + 7.
   int fileCount() const { return 5 * imageCount() + diffCount + 7; }
+  /// Input bindings: mProject 2n, mDiffFit 2m, mConcatFit m, mBgModel 1,
+  /// mBackground 3n, mImgtbl n, mAdd 2n + 2, mShrink 1, mJPEG 1.
+  std::uint64_t inputEdgeCount() const {
+    return 8 * static_cast<std::uint64_t>(imageCount()) +
+           3 * static_cast<std::uint64_t>(diffCount) + 5;
+  }
+  /// Output bindings: every file but the header and the raws, once.
+  std::uint64_t outputEdgeCount() const {
+    return 4 * static_cast<std::uint64_t>(imageCount()) +
+           static_cast<std::uint64_t>(diffCount) + 6;
+  }
 };
 
 /// Presets matching the paper's three workflows exactly.
@@ -78,8 +90,8 @@ MontageParams montage4DegreeParams();
 /// presets (used for the 6-degree plates mentioned in Question 3).
 MontageParams paramsForDegrees(double degrees);
 
-/// Build and finalize the workflow: emitMontage with calibrate(params, 1)
-/// into a workflow named params.name.  Postconditions (tested):
+/// Build the workflow: emitMontage with calibrate(params, 1) into a
+/// builder named params.name.  Postconditions (tested):
 ///   taskCount() tasks; Σ runtimes == targetCpuSeconds;
 ///   ccr(referenceBandwidth) == targetCcr; the mosaic file has mosaicBytes.
 /// Throws std::invalid_argument for inconsistent parameters (e.g. a CCR
@@ -129,13 +141,9 @@ struct EmitOptions {
 };
 
 /// Emit one calibrated mosaic — params.taskCount() tasks and up to
-/// params.fileCount() files — stage by stage, in the streaming order
-/// dag::WorkflowBuilder requires (bindings on the newest task, producers
-/// before consumers).  `pairs` is overlapPairs(params.gridCols,
-/// params.gridRows, params.diffCount).  The sink is not finalized.
-void emitMontage(dag::Workflow& sink, const MontageParams& params,
-                 const std::vector<std::pair<int, int>>& pairs,
-                 const Calibration& calib, const EmitOptions& options = {});
+/// params.fileCount() files — into `sink`, stage by stage, each task's
+/// bindings right after the task.  `pairs` is overlapPairs(params.gridCols,
+/// params.gridRows, params.diffCount).  The caller calls build().
 void emitMontage(dag::WorkflowBuilder& sink, const MontageParams& params,
                  const std::vector<std::pair<int, int>>& pairs,
                  const Calibration& calib, const EmitOptions& options = {});

@@ -300,7 +300,12 @@ void foldEvent(const Event& event, Target& t, TaskPairing& pairing) {
       t.count(CounterId::JobScenarios, p.scenarios);
       break;
     }
-    default: break;  // progress, suspend/resume, run markers, line items
+    case EventKind::RunFinished:
+      // A scenario's unpaired ready/exec times (deadline cut-offs, tasks
+      // abandoned after their retries) never pair: drop them with the run.
+      pairing = {};
+      break;
+    default: break;  // progress, suspend/resume, run start, line items
   }
 }
 

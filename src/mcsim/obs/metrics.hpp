@@ -162,7 +162,8 @@ struct MetricsDelta {
 };
 
 /// TaskReady / TaskExecStarted times awaiting their TaskStarted /
-/// TaskFinished, keyed by task id.
+/// TaskFinished, keyed by task id.  Cleared on RunFinished: pairs never
+/// span scenarios.
 struct TaskPairing {
   std::unordered_map<std::uint32_t, double> readyAt;
   std::unordered_map<std::uint32_t, double> execAt;

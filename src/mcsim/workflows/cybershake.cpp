@@ -9,7 +9,7 @@ namespace mcsim::workflows {
 dag::Workflow buildCyberShake(const CyberShakeParams& p) {
   if (p.variations < 1)
     throw std::invalid_argument("cybershake: variations must be >= 1");
-  dag::Workflow wf("cybershake-" + std::to_string(p.variations));
+  dag::WorkflowBuilder wf("cybershake-" + std::to_string(p.variations));
 
   // Master SGT volume staged from the SCEC archive; every extraction reads it.
   const dag::FileId master =
@@ -53,8 +53,7 @@ dag::Workflow buildCyberShake(const CyberShakeParams& p) {
                  p.peakValueBytes * static_cast<double>(p.variations));
   wf.addOutput(zipPsa, psaZip);
 
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 }  // namespace mcsim::workflows

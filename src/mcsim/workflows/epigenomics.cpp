@@ -9,7 +9,7 @@ namespace mcsim::workflows {
 dag::Workflow buildEpigenomics(const EpigenomicsParams& p) {
   if (p.chunks < 1)
     throw std::invalid_argument("epigenomics: chunks must be >= 1");
-  dag::Workflow wf("epigenomics-" + std::to_string(p.chunks));
+  dag::WorkflowBuilder wf("epigenomics-" + std::to_string(p.chunks));
 
   const dag::FileId lane = wf.addFile("lane.fastq", p.laneBytes);
   const dag::TaskId split =
@@ -70,8 +70,7 @@ dag::Workflow buildEpigenomics(const EpigenomicsParams& p) {
       p.mappedBytes * static_cast<double>(p.chunks) * 0.6);
   wf.addOutput(pileup, result);
 
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 }  // namespace mcsim::workflows

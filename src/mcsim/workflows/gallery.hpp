@@ -14,7 +14,7 @@
 // so the gallery spans the CCR spectrum the paper's Figure 11 sweeps
 // synthetically.
 //
-// All generators are deterministic and return finalized workflows.
+// All generators are deterministic.
 #pragma once
 
 #include "mcsim/dag/workflow.hpp"

@@ -10,8 +10,8 @@ namespace mcsim::workflows {
 dag::Workflow buildInspiral(const InspiralParams& p) {
   if (p.groups < 1 || p.jobsPerGroup < 1)
     throw std::invalid_argument("inspiral: groups and jobsPerGroup must be >= 1");
-  dag::Workflow wf("inspiral-" + std::to_string(p.groups) + "x" +
-                   std::to_string(p.jobsPerGroup));
+  dag::WorkflowBuilder wf("inspiral-" + std::to_string(p.groups) + "x" +
+                          std::to_string(p.jobsPerGroup));
 
   // Calibrated detector data shared by all template banks.
   const dag::FileId frames = wf.addFile("gw_frames.gwf", Bytes::fromMB(750.0));
@@ -70,8 +70,7 @@ dag::Workflow buildInspiral(const InspiralParams& p) {
     secondStageTriggers.push_back(coinc2);
   }
 
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 }  // namespace mcsim::workflows

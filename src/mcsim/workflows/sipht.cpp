@@ -9,8 +9,8 @@ namespace mcsim::workflows {
 dag::Workflow buildSipht(const SiphtParams& p) {
   if (p.patserJobs < 1 || p.blastJobs < 1)
     throw std::invalid_argument("sipht: job counts must be >= 1");
-  dag::Workflow wf("sipht-" + std::to_string(p.patserJobs) + "p" +
-                   std::to_string(p.blastJobs) + "b");
+  dag::WorkflowBuilder wf("sipht-" + std::to_string(p.patserJobs) + "p" +
+                          std::to_string(p.blastJobs) + "b");
 
   // Genome under analysis, read by everything.
   const dag::FileId genome = wf.addFile("genome.ffn", Bytes::fromMB(4.5));
@@ -59,8 +59,7 @@ dag::Workflow buildSipht(const SiphtParams& p) {
                                             Bytes::fromMB(0.5));
   wf.addOutput(annotate, annotation);
 
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 std::vector<dag::Workflow> buildGallery() {

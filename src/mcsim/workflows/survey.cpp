@@ -56,10 +56,10 @@ std::string tilePrefix(std::uint64_t tile, bool slash) {
   return buf;
 }
 
-/// Build tiles [firstTile, lastTile) of the campaign through the streaming
-/// builder.  Shared-raw aliasing only engages for tiles whose left
-/// neighbour is inside the range (full campaigns start at 0, so every
-/// left neighbour is; shard mode requires overlap 0).
+/// Build tiles [firstTile, lastTile) of the campaign through one builder.
+/// Shared-raw aliasing only engages for tiles whose left neighbour is
+/// inside the range (full campaigns start at 0, so every left neighbour
+/// is; shard mode requires overlap 0).
 dag::Workflow buildTileRange(const SurveyConfig& config,
                              const SurveyCounts& counts, std::string name,
                              std::uint64_t firstTile, std::uint64_t lastTile) {
@@ -157,12 +157,8 @@ SurveyCounts surveyCounts(const SurveyConfig& config) {
   c.sharedFiles = c.sharedRawsPerEdge * (c.tiles - c.rows);
   c.tasks = c.tiles * c.tasksPerTile;
   c.files = c.tiles * c.filesPerTile - c.sharedFiles;
-  // Per tile: mProject 2n, mDiffFit 2d, mConcatFit d, mBgModel 1,
-  // mBackground 3n, mImgtbl n, mAdd 2n+2, mShrink 1, mJPEG 1.
-  c.inputEdges = c.tiles * (8 * n + 3 * d + 5);
-  // Every non-external file (everything but the header and the raws) is
-  // declared exactly once.
-  c.outputEdges = c.tiles * (4 * n + d + 6);
+  c.inputEdges = c.tiles * p.inputEdgeCount();
+  c.outputEdges = c.tiles * p.outputEdgeCount();
   return c;
 }
 
@@ -201,12 +197,12 @@ dag::Workflow buildSurveyTile(const SurveyConfig& config, std::uint64_t tile) {
   const montage::MontageParams p =
       montage::paramsForDegrees(config.tileDegrees);
   const auto pairs = montage::overlapPairs(p.gridCols, p.gridRows, p.diffCount);
-  dag::Workflow wf(tilePrefix(tile, false));
-  wf.reserve(static_cast<std::size_t>(p.taskCount()),
-             static_cast<std::size_t>(p.fileCount()));
-  montage::emitMontage(wf, p, pairs, tileCalibration(config, p, tile));
-  wf.finalize();
-  return wf;
+  dag::WorkflowBuilder builder(tilePrefix(tile, false));
+  builder.reserve(static_cast<std::size_t>(p.taskCount()),
+                  static_cast<std::size_t>(p.fileCount()), p.inputEdgeCount(),
+                  p.outputEdgeCount());
+  montage::emitMontage(builder, p, pairs, tileCalibration(config, p, tile));
+  return builder.build();
 }
 
 std::vector<dag::Workflow> buildSurveyShards(const SurveyConfig& config,

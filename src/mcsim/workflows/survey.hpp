@@ -19,11 +19,11 @@
 //   * tiles can be released on a cadence (releaseIntervalSeconds), modeling
 //     a survey feed rather than a backlogged batch.
 //
-// Campaigns build through dag::WorkflowBuilder (streaming, structure-of-
-// arrays; see DESIGN.md) so a million-task DAG materializes in one pass.
-// The naive composition path — per-tile Workflows merged with
-// dag::mergeWorkflows — lives in the test oracle (tests/support/), and the
-// survey differential tests hold the streaming path to it.
+// A campaign is emitted tile by tile into one dag::WorkflowBuilder (see
+// DESIGN.md), so a million-task DAG materializes in one build() pass.  The
+// naive composition — per-tile Workflows merged with dag::mergeWorkflows —
+// lives in the test oracle (tests/support/), and the survey differential
+// tests hold the campaign to it.
 #pragma once
 
 #include <cstdint>
@@ -87,15 +87,15 @@ SurveyCounts surveyCounts(const SurveyConfig& config);
 /// (zero tiles, overlap out of range, id-space overflow, ...).
 std::string validateSurveyConfig(const SurveyConfig& config);
 
-/// Build the campaign through the streaming WorkflowBuilder.  Returns a
-/// finalized workflow.  Throws std::invalid_argument on invalid configs.
+/// Build the campaign through one WorkflowBuilder.  Throws
+/// std::invalid_argument on invalid configs.
 dag::Workflow buildSurveyCampaign(const SurveyConfig& config);
 
 /// Non-throwing boundary variant: validation failures (and any build-time
 /// error) come back as the error alternative instead of an exception.
 Expected<dag::Workflow> trySurveyCampaign(const SurveyConfig& config);
 
-/// One tile as a standalone finalized workflow, named "t<index>" — byte-
+/// One tile as a standalone workflow, named "t<index>" — byte-
 /// identical in structure, runtimes and sizes to that tile's slice of the
 /// campaign (tile content is a pure function of (seed, tile)).  Release
 /// intervals and overlap sharing are campaign-level and do not apply.

@@ -46,7 +46,7 @@ ExplainedRun explainWorkflow(const dag::Workflow& wf, engine::EngineConfig cfg,
 /// Control-dependency-only diamond (no files, so no staging time):
 /// a(10) -> {b(20), c(35)} -> d(5); analytic critical path = 50 s.
 dag::Workflow diamondDag() {
-  dag::Workflow wf("diamond");
+  dag::WorkflowBuilder wf("diamond");
   const auto a = wf.addTask("a", "gen", 10.0);
   const auto b = wf.addTask("b", "work", 20.0);
   const auto c = wf.addTask("c", "work", 35.0);
@@ -55,8 +55,7 @@ dag::Workflow diamondDag() {
   wf.addControlDependency(a, c);
   wf.addControlDependency(b, d);
   wf.addControlDependency(c, d);
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 void expectTilesMakespan(const Explanation& e, double tol = 1e-9) {

@@ -99,8 +99,8 @@ TEST(AnalyticModel, InvalidArgumentsRejected) {
 }
 
 TEST(AnalyticModel, EmptyWorkflow) {
-  dag::Workflow wf("empty");
-  wf.finalize();
+  dag::WorkflowBuilder builder("empty");
+  const dag::Workflow wf = builder.build();
   const AnalyticEstimate est = estimateRegularRun(wf, 4, kAmazon);
   EXPECT_DOUBLE_EQ(est.makespanLowerSeconds, 0.0);
   EXPECT_DOUBLE_EQ(est.cpuUsage.value(), 0.0);

@@ -14,6 +14,7 @@
 //             6:{e,f,b}->g.
 #pragma once
 
+#include <initializer_list>
 #include <string>
 
 #include "mcsim/dag/workflow.hpp"
@@ -21,63 +22,69 @@
 namespace mcsim::test {
 
 struct Figure3 {
-  dag::Workflow wf{"figure3"};
+  dag::Workflow wf;
   dag::FileId a, b, c, d, e, f, g, h;
   dag::TaskId t0, t1, t2, t3, t4, t5, t6;
 };
 
-/// Every file 1 MB and every task 10 s unless the caller rescales.
-inline Figure3 makeFigure3Workflow() {
-  Figure3 fig;
-  dag::Workflow& wf = fig.wf;
+/// Every file 1 MB and every task 10 s unless the caller rescales.  Files in
+/// `explicitOutputs` are flagged as user products even if consumed.
+inline Figure3 makeFigure3Workflow(
+    std::initializer_list<char> explicitOutputs = {}) {
+  dag::WorkflowBuilder wf("figure3");
   const Bytes mb = Bytes::fromMB(1.0);
-  fig.a = wf.addFile("a", mb);
-  fig.b = wf.addFile("b", mb);
-  fig.c = wf.addFile("c", mb);
-  fig.d = wf.addFile("d", mb);
-  fig.e = wf.addFile("e", mb);
-  fig.f = wf.addFile("f", mb);
-  fig.g = wf.addFile("g", mb);
-  fig.h = wf.addFile("h", mb);
+  const dag::FileId a = wf.addFile("a", mb);
+  const dag::FileId b = wf.addFile("b", mb);
+  const dag::FileId c = wf.addFile("c", mb);
+  const dag::FileId d = wf.addFile("d", mb);
+  const dag::FileId e = wf.addFile("e", mb);
+  const dag::FileId f = wf.addFile("f", mb);
+  const dag::FileId g = wf.addFile("g", mb);
+  const dag::FileId h = wf.addFile("h", mb);
+  for (char name : explicitOutputs)
+    wf.markExplicitOutput(static_cast<dag::FileId>(name - 'a'));
 
-  fig.t0 = wf.addTask("t0", "stage0", 10.0);
-  wf.addInput(fig.t0, fig.a);
-  wf.addOutput(fig.t0, fig.b);
+  const dag::TaskId t0 = wf.addTask("t0", "stage0", 10.0);
+  wf.addInput(t0, a);
+  wf.addOutput(t0, b);
 
-  fig.t1 = wf.addTask("t1", "stage1", 10.0);
-  wf.addInput(fig.t1, fig.b);
-  wf.addOutput(fig.t1, fig.c);
+  const dag::TaskId t1 = wf.addTask("t1", "stage1", 10.0);
+  wf.addInput(t1, b);
+  wf.addOutput(t1, c);
 
-  fig.t2 = wf.addTask("t2", "stage1", 10.0);
-  wf.addInput(fig.t2, fig.b);
-  wf.addOutput(fig.t2, fig.d);
+  const dag::TaskId t2 = wf.addTask("t2", "stage1", 10.0);
+  wf.addInput(t2, b);
+  wf.addOutput(t2, d);
 
-  fig.t3 = wf.addTask("t3", "stage2", 10.0);
-  wf.addInput(fig.t3, fig.d);
-  wf.addOutput(fig.t3, fig.f);
+  const dag::TaskId t3 = wf.addTask("t3", "stage2", 10.0);
+  wf.addInput(t3, d);
+  wf.addOutput(t3, f);
 
-  fig.t4 = wf.addTask("t4", "stage2", 10.0);
-  wf.addInput(fig.t4, fig.c);
-  wf.addOutput(fig.t4, fig.e);
+  const dag::TaskId t4 = wf.addTask("t4", "stage2", 10.0);
+  wf.addInput(t4, c);
+  wf.addOutput(t4, e);
 
-  fig.t5 = wf.addTask("t5", "stage2", 10.0);
-  wf.addInput(fig.t5, fig.c);
-  wf.addOutput(fig.t5, fig.h);
+  const dag::TaskId t5 = wf.addTask("t5", "stage2", 10.0);
+  wf.addInput(t5, c);
+  wf.addOutput(t5, h);
 
-  fig.t6 = wf.addTask("t6", "stage3", 10.0);
-  wf.addInput(fig.t6, fig.e);
-  wf.addInput(fig.t6, fig.f);
-  wf.addInput(fig.t6, fig.b);
-  wf.addOutput(fig.t6, fig.g);
+  const dag::TaskId t6 = wf.addTask("t6", "stage3", 10.0);
+  wf.addInput(t6, e);
+  wf.addInput(t6, f);
+  wf.addInput(t6, b);
+  wf.addOutput(t6, g);
 
-  wf.finalize();
-  return fig;
+  return Figure3{wf.build(), a, b, c, d, e, f, g, h,
+                 t0, t1, t2, t3, t4, t5, t6};
 }
 
 /// A linear chain: in -> t0 -> f0 -> t1 -> f1 -> ... -> t(n-1) -> f(n-1).
-inline dag::Workflow makeChainWorkflow(int length, double taskSeconds = 10.0,
-                                       Bytes fileSize = Bytes::fromMB(1.0)) {
-  dag::Workflow wf("chain-" + std::to_string(length));
+/// File ids run in that order (in = 0, f<i> = i + 1); files in
+/// `explicitOutputs` are flagged as user products even if consumed.
+inline dag::Workflow makeChainWorkflow(
+    int length, double taskSeconds = 10.0, Bytes fileSize = Bytes::fromMB(1.0),
+    std::initializer_list<dag::FileId> explicitOutputs = {}) {
+  dag::WorkflowBuilder wf("chain-" + std::to_string(length));
   dag::FileId prev = wf.addFile("in", fileSize);
   for (int i = 0; i < length; ++i) {
     const dag::TaskId t =
@@ -86,14 +93,14 @@ inline dag::Workflow makeChainWorkflow(int length, double taskSeconds = 10.0,
     prev = wf.addFile("f" + std::to_string(i), fileSize);
     wf.addOutput(t, prev);
   }
-  wf.finalize();
-  return wf;
+  for (dag::FileId f : explicitOutputs) wf.markExplicitOutput(f);
+  return wf.build();
 }
 
 /// A fork-join "diamond": in -> split -> {w0..w(k-1)} -> join -> out.
 inline dag::Workflow makeForkJoinWorkflow(int width, double taskSeconds = 10.0,
                                           Bytes fileSize = Bytes::fromMB(1.0)) {
-  dag::Workflow wf("forkjoin-" + std::to_string(width));
+  dag::WorkflowBuilder wf("forkjoin-" + std::to_string(width));
   const dag::FileId in = wf.addFile("in", fileSize);
   const dag::TaskId split = wf.addTask("split", "split", taskSeconds);
   wf.addInput(split, in);
@@ -110,8 +117,7 @@ inline dag::Workflow makeForkJoinWorkflow(int width, double taskSeconds = 10.0,
   }
   const dag::FileId out = wf.addFile("out", fileSize);
   wf.addOutput(join, out);
-  wf.finalize();
-  return wf;
+  return wf.build();
 }
 
 }  // namespace mcsim::test

@@ -66,22 +66,22 @@ TEST(Algorithms, CriticalPathOfFigure3) {
 }
 
 TEST(Algorithms, CriticalPathWithUnevenRuntimes) {
-  Workflow wf("uneven");
-  const FileId in = wf.addFile("in", Bytes(1.0));
-  const TaskId slow = wf.addTask("slow", "t", 100.0);
-  const TaskId fast = wf.addTask("fast", "t", 1.0);
-  wf.addInput(slow, in);
-  wf.addInput(fast, in);
-  const FileId so = wf.addFile("so", Bytes(1.0));
-  const FileId fo = wf.addFile("fo", Bytes(1.0));
-  wf.addOutput(slow, so);
-  wf.addOutput(fast, fo);
-  const TaskId sink = wf.addTask("sink", "t", 2.0);
-  wf.addInput(sink, so);
-  wf.addInput(sink, fo);
-  const FileId out = wf.addFile("out", Bytes(1.0));
-  wf.addOutput(sink, out);
-  wf.finalize();
+  WorkflowBuilder builder("uneven");
+  const FileId in = builder.addFile("in", Bytes(1.0));
+  const TaskId slow = builder.addTask("slow", "t", 100.0);
+  const TaskId fast = builder.addTask("fast", "t", 1.0);
+  builder.addInput(slow, in);
+  builder.addInput(fast, in);
+  const FileId so = builder.addFile("so", Bytes(1.0));
+  const FileId fo = builder.addFile("fo", Bytes(1.0));
+  builder.addOutput(slow, so);
+  builder.addOutput(fast, fo);
+  const TaskId sink = builder.addTask("sink", "t", 2.0);
+  builder.addInput(sink, so);
+  builder.addInput(sink, fo);
+  const FileId out = builder.addFile("out", Bytes(1.0));
+  builder.addOutput(sink, out);
+  const Workflow wf = builder.build();
   EXPECT_DOUBLE_EQ(criticalPathSeconds(wf), 102.0);
   const auto path = criticalPathTasks(wf);
   ASSERT_EQ(path.size(), 2u);
@@ -121,22 +121,22 @@ TEST(Algorithms, MaxParallelismFigure3) {
 TEST(Algorithms, MaxParallelismSeesCrossLevelOverlap) {
   // Two chains of different speeds from independent inputs: a slow task
   // overlaps the other chain's tasks even though levels differ.
-  Workflow wf("overlap");
-  const FileId inA = wf.addFile("inA", Bytes(1.0));
-  const FileId inB = wf.addFile("inB", Bytes(1.0));
-  const TaskId slow = wf.addTask("slow", "t", 100.0);
-  wf.addInput(slow, inA);
-  const FileId so = wf.addFile("so", Bytes(1.0));
-  wf.addOutput(slow, so);
-  const TaskId b1 = wf.addTask("b1", "t", 10.0);
-  wf.addInput(b1, inB);
-  const FileId b1o = wf.addFile("b1o", Bytes(1.0));
-  wf.addOutput(b1, b1o);
-  const TaskId b2 = wf.addTask("b2", "t", 10.0);
-  wf.addInput(b2, b1o);
-  const FileId b2o = wf.addFile("b2o", Bytes(1.0));
-  wf.addOutput(b2, b2o);
-  wf.finalize();
+  WorkflowBuilder builder("overlap");
+  const FileId inA = builder.addFile("inA", Bytes(1.0));
+  const FileId inB = builder.addFile("inB", Bytes(1.0));
+  const TaskId slow = builder.addTask("slow", "t", 100.0);
+  builder.addInput(slow, inA);
+  const FileId so = builder.addFile("so", Bytes(1.0));
+  builder.addOutput(slow, so);
+  const TaskId b1 = builder.addTask("b1", "t", 10.0);
+  builder.addInput(b1, inB);
+  const FileId b1o = builder.addFile("b1o", Bytes(1.0));
+  builder.addOutput(b1, b1o);
+  const TaskId b2 = builder.addTask("b2", "t", 10.0);
+  builder.addInput(b2, b1o);
+  const FileId b2o = builder.addFile("b2o", Bytes(1.0));
+  builder.addOutput(b2, b2o);
+  const Workflow wf = builder.build();
   EXPECT_EQ(maxParallelism(wf), 2u);  // slow overlaps b1 then b2
   EXPECT_EQ(maxLevelWidth(wf), 2u);
 }
@@ -145,18 +145,9 @@ TEST(Algorithms, BackToBackTasksNotCountedConcurrent) {
   EXPECT_EQ(maxParallelism(makeChainWorkflow(3)), 1u);
 }
 
-TEST(Algorithms, UnfinalizedWorkflowRejected) {
-  Workflow wf("raw");
-  wf.addTask("t", "t", 1.0);
-  EXPECT_THROW(topologicalOrder(wf), std::logic_error);
-  EXPECT_THROW(criticalPathSeconds(wf), std::logic_error);
-  EXPECT_THROW(levelWidths(wf), std::logic_error);
-  EXPECT_THROW(maxParallelism(wf), std::logic_error);
-}
-
 TEST(Algorithms, EmptyWorkflow) {
-  Workflow wf("empty");
-  wf.finalize();
+  WorkflowBuilder builder("empty");
+  const Workflow wf = builder.build();
   EXPECT_TRUE(topologicalOrder(wf).empty());
   EXPECT_DOUBLE_EQ(criticalPathSeconds(wf), 0.0);
   EXPECT_EQ(maxParallelism(wf), 0u);

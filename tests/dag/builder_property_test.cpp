@@ -1,12 +1,21 @@
-// WorkflowBuilder property tests: for randomized streaming construction
-// sequences the built graph must match its closed-form counts, be acyclic
-// with every non-root task wired to an upstream producer, replay
-// byte-identically from the same seed, and agree field-for-field with the
-// legacy Workflow::addTask/finalize path fed the identical call sequence.
+// WorkflowBuilder property tests.
+//
+// Level-ordered sequences (the shape Montage and the survey emit): the
+// built graph matches its closed-form counts, levels rise along every edge,
+// every non-root task is wired to an upstream producer, and the same seed
+// replays byte-identically.
+//
+// Free-order sequences (bindings to earlier tasks, producers declared after
+// their consumers, backward control edges): build() agrees with an oracle
+// that derives consumers, parents, children and levels straight from the
+// recorded calls and the definitions, and rejects an injected cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mcsim/dag/dax.hpp"
@@ -33,12 +42,11 @@ BuildPlan makePlan(std::uint64_t seed) {
   return plan;
 }
 
-/// Drive one streaming construction sequence into `sink` (WorkflowBuilder
-/// or legacy Workflow: same vocabulary).  Tasks arrive in topological
-/// level order; each produces one file and binds a random subset of files
-/// already declared — exactly the contract the builder streams under.
-template <class Sink>
-std::size_t emitRandom(Sink& sink, std::uint64_t seed, std::size_t* edges) {
+/// Drive one level-ordered construction sequence into `sink`.  Tasks
+/// arrive in topological level order; each produces one file and binds a
+/// random subset of the files already produced.
+std::size_t emitRandom(WorkflowBuilder& sink, std::uint64_t seed,
+                       std::size_t* edges) {
   const BuildPlan plan = makePlan(seed);
   Rng rng(seed * 1001 + 17);
 
@@ -77,8 +85,7 @@ std::size_t emitRandom(Sink& sink, std::uint64_t seed, std::size_t* edges) {
       sink.addOutput(t, out);
       produced.push_back(out);
     }
-    // Files produced on this level become available to later levels only —
-    // the producer-before-consumer streaming order.
+    // Files produced on this level become available to later levels only.
     available.insert(available.end(), produced.begin(), produced.end());
   }
   if (edges) *edges = inputEdges;
@@ -117,9 +124,8 @@ TEST_P(BuilderProperty, AcyclicWithMonotoneLevels) {
   emitRandom(builder, GetParam(), nullptr);
   const Workflow wf = builder.build();
 
-  // Streaming order makes every parent id smaller than its child's, so
-  // levels must be strictly increasing along every edge — the graph is
-  // acyclic by construction and build() must agree.
+  // Level order makes every parent id smaller than its child's, and levels
+  // must rise strictly along every edge.
   for (const Task& t : wf.tasks()) {
     for (TaskId p : t.parents) {
       EXPECT_LT(p, t.id);
@@ -159,75 +165,240 @@ TEST_P(BuilderProperty, SameSeedReplaysByteIdentically) {
   EXPECT_EQ(writeDax(first.build()), writeDax(second.build()));
 }
 
-TEST_P(BuilderProperty, MatchesLegacyPathFedTheSameSequence) {
-  WorkflowBuilder builder("prop");
-  emitRandom(builder, GetParam(), nullptr);
-  const Workflow streamed = builder.build();
+/// One recorded builder call.
+struct Call {
+  enum Kind { AddTask, AddFile, Input, Output, Control, Explicit, Release };
+  Kind kind;
+  std::uint32_t a = 0;  ///< Task (Input/Output/Release), parent, file.
+  std::uint32_t b = 0;  ///< File (Input/Output) or child (Control).
+  double value = 0.0;   ///< Runtime, size or release time.
+};
 
-  Workflow legacy("prop");
-  emitRandom(legacy, GetParam(), nullptr);
-  legacy.finalize();
-
-  ASSERT_EQ(streamed.taskCount(), legacy.taskCount());
-  ASSERT_EQ(streamed.fileCount(), legacy.fileCount());
-  for (std::size_t i = 0; i < streamed.taskCount(); ++i) {
-    const Task& a = streamed.task(static_cast<TaskId>(i));
-    const Task& b = legacy.task(static_cast<TaskId>(i));
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.type, b.type);
-    EXPECT_EQ(a.runtimeSeconds, b.runtimeSeconds);
-    EXPECT_EQ(a.earliestStartSeconds, b.earliestStartSeconds);
-    EXPECT_EQ(a.inputs, b.inputs);
-    EXPECT_EQ(a.outputs, b.outputs);
-    EXPECT_EQ(a.parents, b.parents);
-    EXPECT_EQ(a.children, b.children);
-    EXPECT_EQ(a.level, b.level);
+/// A free-order call sequence.  Every task and file gets a hidden random
+/// rank, and every edge runs from a lower rank to a higher one: a task
+/// reads only files ranked below it, produces only files ranked above it,
+/// and a control edge runs up the ranks.  The graph is acyclic whatever the
+/// creation order, while ids follow creation order — so bindings land on
+/// earlier tasks, producers come after consumers and control edges point
+/// backward as often as not.
+std::vector<Call> randomCalls(std::uint64_t seed) {
+  Rng rng(seed * 7919 + 3);
+  std::vector<double> taskRank;
+  std::vector<double> fileRank;
+  std::vector<bool> produced;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> bound;
+  std::vector<Call> calls;
+  const int ops = static_cast<int>(rng.uniformInt(20, 160));
+  for (int op = 0; op < ops; ++op) {
+    const std::int64_t pick = rng.uniformInt(0, 9);
+    const bool haveBoth = !taskRank.empty() && !fileRank.empty();
+    auto anyTask = [&] {
+      return static_cast<std::uint32_t>(rng.uniformInt(
+          0, static_cast<std::int64_t>(taskRank.size()) - 1));
+    };
+    auto anyFile = [&] {
+      return static_cast<std::uint32_t>(rng.uniformInt(
+          0, static_cast<std::int64_t>(fileRank.size()) - 1));
+    };
+    if (taskRank.empty() || pick < 2) {
+      taskRank.push_back(rng.uniformReal(0.0, 1.0));
+      calls.push_back({Call::AddTask, 0, 0, rng.uniformReal(0.0, 100.0)});
+    } else if (fileRank.empty() || pick < 4) {
+      fileRank.push_back(rng.uniformReal(0.0, 1.0));
+      produced.push_back(false);
+      calls.push_back({Call::AddFile, 0, 0, rng.uniformReal(1.0, 1e6)});
+    } else if (haveBoth && pick < 7) {
+      const std::uint32_t t = anyTask();
+      const std::uint32_t f = anyFile();
+      if (taskRank[t] > fileRank[f] && bound.emplace(t, f).second)
+        calls.push_back({Call::Input, t, f});
+    } else if (haveBoth && pick < 8) {
+      const std::uint32_t t = anyTask();
+      const std::uint32_t f = anyFile();
+      if (!produced[f] && taskRank[t] < fileRank[f]) {
+        produced[f] = true;
+        calls.push_back({Call::Output, t, f});
+      }
+    } else if (pick < 9) {
+      const std::uint32_t p = anyTask();
+      const std::uint32_t c = anyTask();
+      if (taskRank[p] < taskRank[c])
+        calls.push_back({Call::Control, p, c});
+    } else if (!fileRank.empty() && rng.chance(0.5)) {
+      calls.push_back({Call::Explicit, anyFile()});
+    } else {
+      calls.push_back({Call::Release, anyTask(), 0,
+                       rng.uniformReal(0.0, 50.0)});
+    }
   }
-  for (std::size_t i = 0; i < streamed.fileCount(); ++i) {
-    const File& a = streamed.file(static_cast<FileId>(i));
-    const File& b = legacy.file(static_cast<FileId>(i));
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.size.value(), b.size.value());
-    EXPECT_EQ(a.producer, b.producer);
-    EXPECT_EQ(a.consumers, b.consumers);
-    EXPECT_EQ(a.explicitOutput, b.explicitOutput);
+  return calls;
+}
+
+Workflow replay(const std::vector<Call>& calls) {
+  WorkflowBuilder builder("free");
+  for (const Call& c : calls) {
+    switch (c.kind) {
+      case Call::AddTask:
+        builder.addTask("t" + std::to_string(builder.taskCount()),
+                        "type" + std::to_string(builder.taskCount() % 3),
+                        c.value);
+        break;
+      case Call::AddFile:
+        builder.addFile("f" + std::to_string(builder.fileCount()),
+                        Bytes(c.value));
+        break;
+      case Call::Input: builder.addInput(c.a, c.b); break;
+      case Call::Output: builder.addOutput(c.a, c.b); break;
+      case Call::Control: builder.addControlDependency(c.a, c.b); break;
+      case Call::Explicit: builder.markExplicitOutput(c.a); break;
+      case Call::Release: builder.setEarliestStart(c.a, c.value); break;
+    }
+  }
+  return builder.build();
+}
+
+/// Every field of a workflow, derived from the calls by the definitions.
+struct Oracle {
+  std::vector<std::vector<FileId>> inputs, outputs;
+  std::vector<std::vector<TaskId>> parents, children, consumers;
+  std::vector<int> level;
+  std::vector<TaskId> producer;
+  std::vector<double> release;
+  std::vector<bool> explicitOutput;
+};
+
+Oracle oracleFor(const std::vector<Call>& calls) {
+  Oracle o;
+  std::vector<std::pair<TaskId, TaskId>> control;
+  for (const Call& c : calls) {
+    switch (c.kind) {
+      case Call::AddTask:
+        o.inputs.emplace_back();
+        o.outputs.emplace_back();
+        o.release.push_back(0.0);
+        break;
+      case Call::AddFile:
+        o.producer.push_back(kNoTask);
+        o.explicitOutput.push_back(false);
+        break;
+      case Call::Input: o.inputs[c.a].push_back(c.b); break;
+      case Call::Output:
+        o.outputs[c.a].push_back(c.b);
+        o.producer[c.b] = c.a;
+        break;
+      case Call::Control: control.emplace_back(c.a, c.b); break;
+      case Call::Explicit: o.explicitOutput[c.a] = true; break;
+      case Call::Release: o.release[c.a] = c.value; break;
+    }
+  }
+  const std::size_t tasks = o.inputs.size();
+  const std::size_t files = o.producer.size();
+
+  // A file's consumers: every task that reads it, by ascending id.
+  o.consumers.resize(files);
+  for (std::size_t t = 0; t < tasks; ++t)
+    for (FileId f : o.inputs[t])
+      o.consumers[f].push_back(static_cast<TaskId>(t));
+
+  // A task's parents: the producers of its inputs and its control parents.
+  std::vector<std::set<TaskId>> parentSets(tasks);
+  for (std::size_t t = 0; t < tasks; ++t)
+    for (FileId f : o.inputs[t])
+      if (o.producer[f] != kNoTask) parentSets[t].insert(o.producer[f]);
+  for (const auto& [p, c] : control) parentSets[c].insert(p);
+  o.parents.resize(tasks);
+  o.children.resize(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    o.parents[t].assign(parentSets[t].begin(), parentSets[t].end());
+    for (TaskId p : o.parents[t])
+      o.children[p].push_back(static_cast<TaskId>(t));
+  }
+  for (std::vector<TaskId>& c : o.children) std::sort(c.begin(), c.end());
+
+  // Paper §2 levels by fixed-point relaxation: 1 for a source, otherwise
+  // 1 + the highest parent level.
+  o.level.assign(tasks, 1);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t t = 0; t < tasks; ++t)
+      for (TaskId p : o.parents[t])
+        if (o.level[p] + 1 > o.level[t]) {
+          o.level[t] = o.level[p] + 1;
+          changed = true;
+        }
+  }
+  return o;
+}
+
+TEST_P(BuilderProperty, MatchesDefinitionOracle) {
+  const std::vector<Call> calls = randomCalls(GetParam());
+  const Workflow wf = replay(calls);
+  const Oracle o = oracleFor(calls);
+
+  ASSERT_EQ(wf.taskCount(), o.inputs.size());
+  ASSERT_EQ(wf.fileCount(), o.producer.size());
+  for (const Task& t : wf.tasks()) {
+    EXPECT_EQ(t.inputs, o.inputs[t.id]) << t.name;
+    EXPECT_EQ(t.outputs, o.outputs[t.id]) << t.name;
+    EXPECT_EQ(t.parents, o.parents[t.id]) << t.name;
+    EXPECT_EQ(t.children, o.children[t.id]) << t.name;
+    EXPECT_EQ(t.level, o.level[t.id]) << t.name;
+    EXPECT_EQ(t.earliestStartSeconds, o.release[t.id]) << t.name;
+  }
+  for (const File& f : wf.files()) {
+    EXPECT_EQ(f.producer, o.producer[f.id]) << f.name;
+    EXPECT_EQ(f.consumers, o.consumers[f.id]) << f.name;
+    EXPECT_EQ(f.explicitOutput, o.explicitOutput[f.id]) << f.name;
   }
 }
 
-TEST(WorkflowBuilderContract, RejectsBindingsOffTheNewestTask) {
-  WorkflowBuilder builder("contract");
-  const FileId f = builder.addFile("f", Bytes(1.0));
-  const TaskId a = builder.addTask("a", "t", 1.0);
-  builder.addInput(a, f);
-  builder.addTask("b", "t", 1.0);
-  EXPECT_THROW(builder.addInput(a, f), std::logic_error);
-  EXPECT_THROW(builder.addOutput(a, f), std::logic_error);
+TEST_P(BuilderProperty, InjectedCycleThrows) {
+  // Close a cycle over one existing edge: a control edge from its child
+  // back to its parent.
+  std::vector<Call> calls = randomCalls(GetParam());
+  const Oracle o = oracleFor(calls);
+  Rng rng(GetParam());
+  std::vector<std::pair<TaskId, TaskId>> edges;
+  for (std::size_t t = 0; t < o.parents.size(); ++t)
+    for (TaskId p : o.parents[t]) edges.emplace_back(p, static_cast<TaskId>(t));
+  if (edges.empty()) {
+    // No edge to close: add two tasks that wait on each other.
+    calls.push_back({Call::AddTask, 0, 0, 1.0});
+    calls.push_back({Call::AddTask, 0, 0, 1.0});
+    const auto a = static_cast<std::uint32_t>(o.inputs.size());
+    edges.emplace_back(a, a + 1);
+    calls.push_back({Call::Control, a, a + 1});
+  }
+  const auto [parent, child] = edges[static_cast<std::size_t>(
+      rng.uniformInt(0, static_cast<std::int64_t>(edges.size()) - 1))];
+  calls.push_back({Call::Control, child, parent});
+  EXPECT_THROW(replay(calls), std::logic_error);
 }
 
-TEST(WorkflowBuilderContract, RejectsConsumerBeforeProducer) {
-  WorkflowBuilder builder("contract");
-  const FileId f = builder.addFile("f", Bytes(1.0));
-  const TaskId a = builder.addTask("a", "t", 1.0);
-  builder.addInput(a, f);
-  const TaskId b = builder.addTask("b", "t", 1.0);
-  // f already has a consumer; declaring its producer now would let a cycle
-  // slip past the single forward sweep.
-  EXPECT_THROW(builder.addOutput(b, f), std::logic_error);
-}
-
-TEST(WorkflowBuilderContract, RejectsBackwardControlEdgesAndEmptyBuild) {
-  WorkflowBuilder builder("contract");
-  EXPECT_THROW(builder.build(), std::logic_error);
-  const TaskId a = builder.addTask("a", "t", 1.0);
-  const TaskId b = builder.addTask("b", "t", 1.0);
-  EXPECT_THROW(builder.addControlDependency(b, a), std::logic_error);
-  EXPECT_THROW(builder.addControlDependency(a, a), std::logic_error);
-  builder.addControlDependency(a, b);
-  const Workflow wf = builder.build();
-  EXPECT_EQ(wf.task(b).parents, std::vector<TaskId>{a});
-  // build() leaves the builder empty and reusable.
-  EXPECT_EQ(builder.taskCount(), 0u);
-  EXPECT_THROW(builder.build(), std::logic_error);
+TEST(BuilderOracle, FreeOrderSequencesExerciseEveryFreedom) {
+  // Across the property seeds the free-order generator must produce each
+  // shape the level-ordered one cannot.
+  std::size_t lateBindings = 0;
+  std::size_t producerAfterConsumer = 0;
+  std::size_t backwardControl = 0;
+  for (std::uint64_t seed = 3000; seed < 3024; ++seed) {
+    const std::vector<Call> calls = randomCalls(seed);
+    std::uint32_t tasks = 0;
+    std::set<std::uint32_t> consumed;
+    for (const Call& c : calls) {
+      if (c.kind == Call::AddTask) ++tasks;
+      if ((c.kind == Call::Input || c.kind == Call::Output) &&
+          c.a + 1 < tasks)
+        ++lateBindings;
+      if (c.kind == Call::Input) consumed.insert(c.b);
+      if (c.kind == Call::Output && consumed.count(c.b) != 0)
+        ++producerAfterConsumer;
+      if (c.kind == Call::Control && c.a > c.b) ++backwardControl;
+    }
+  }
+  EXPECT_GT(lateBindings, 0u);
+  EXPECT_GT(producerAfterConsumer, 0u);
+  EXPECT_GT(backwardControl, 0u);
 }
 
 }  // namespace

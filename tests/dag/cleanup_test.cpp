@@ -40,12 +40,6 @@ TEST(Cleanup, UnconsumedLeafHasProducerUse) {
   EXPECT_EQ(plan.remainingUses[fig.h], 1u);
 }
 
-TEST(Cleanup, RequiresFinalizedWorkflow) {
-  Workflow wf("raw");
-  wf.addTask("t", "t", 1.0);
-  EXPECT_THROW(analyzeCleanup(wf), std::logic_error);
-}
-
 TEST(Footprint, ChainRegularVsCleanup) {
   // Chain of 4 tasks, 1 MB files: regular keeps all 5 files at the end
   // (peak 5 MB); cleanup holds at most 2 MB (current input + output).
@@ -91,13 +85,13 @@ TEST(Footprint, NonTopologicalOrderDetected) {
 TEST(Footprint, ExplicitOutputRetainedInCleanupWalk) {
   // Chain where the middle file is flagged as a user product: the cleanup
   // peak grows because it can't be deleted.
-  auto wf = makeChainWorkflow(4);
-  // File ids: in=0, f0=1, f1=2, f2=3, f3=4.
+  const auto wf = makeChainWorkflow(4);
   const auto before =
       predictSequentialFootprint(wf, topologicalOrder(wf)).peakCleanup;
-  wf.markExplicitOutput(1);
+  // File ids: in=0, f0=1, f1=2, f2=3, f3=4.
+  const auto pinned = makeChainWorkflow(4, 10.0, Bytes::fromMB(1.0), {1});
   const auto after =
-      predictSequentialFootprint(wf, topologicalOrder(wf)).peakCleanup;
+      predictSequentialFootprint(pinned, topologicalOrder(pinned)).peakCleanup;
   EXPECT_GE(after, before);
   EXPECT_DOUBLE_EQ(after.mb(), 3.0);  // f0 pinned + live pair
 }

@@ -72,11 +72,11 @@ TEST(Dax, RoundTripFigure3) {
 }
 
 TEST(Dax, RoundTripPreservesControlDependencies) {
-  Workflow wf("ctrl");
-  const TaskId a = wf.addTask("a", "t", 1.0);
-  const TaskId b = wf.addTask("b", "t", 2.0);
-  wf.addControlDependency(a, b);
-  wf.finalize();
+  WorkflowBuilder builder("ctrl");
+  const TaskId a = builder.addTask("a", "t", 1.0);
+  const TaskId b = builder.addTask("b", "t", 2.0);
+  builder.addControlDependency(a, b);
+  const Workflow wf = builder.build();
   const Workflow back = readDax(writeDax(wf));
   EXPECT_EQ(back.task(1).parents, (std::vector<TaskId>{0}));
 }
@@ -184,16 +184,16 @@ TEST(Dax, TransferFlagMarksExplicitOutput) {
 }
 
 TEST(Dax, TransferFlagRoundTrips) {
-  Workflow wf("flagged");
-  const TaskId producer = wf.addTask("p", "p", 1.0);
-  const FileId mid = wf.addFile("mid", Bytes(10.0));
-  wf.addOutput(producer, mid);
-  const TaskId consumer = wf.addTask("c", "c", 1.0);
-  wf.addInput(consumer, mid);
-  const FileId leaf = wf.addFile("leaf", Bytes(5.0));
-  wf.addOutput(consumer, leaf);
-  wf.markExplicitOutput(mid);
-  wf.finalize();
+  WorkflowBuilder builder("flagged");
+  const TaskId producer = builder.addTask("p", "p", 1.0);
+  const FileId mid = builder.addFile("mid", Bytes(10.0));
+  builder.addOutput(producer, mid);
+  const TaskId consumer = builder.addTask("c", "c", 1.0);
+  builder.addInput(consumer, mid);
+  const FileId leaf = builder.addFile("leaf", Bytes(5.0));
+  builder.addOutput(consumer, leaf);
+  builder.markExplicitOutput(mid);
+  const Workflow wf = builder.build();
   const Workflow back = readDax(writeDax(wf));
   EXPECT_EQ(back.workflowOutputs().size(), 2u);
 }

@@ -52,18 +52,17 @@ TEST(Merge, DuplicateNamesGetPositionalPrefixes) {
 }
 
 TEST(Merge, ExplicitOutputsSurvive) {
-  auto fig = makeFigure3Workflow();
-  fig.wf.markExplicitOutput(fig.c);
+  const auto fig = makeFigure3Workflow({'c'});
   const Workflow merged = mergeWorkflows({fig.wf});
   EXPECT_EQ(merged.workflowOutputs().size(), 3u);  // g, h, c
 }
 
 TEST(Merge, ControlDependenciesSurvive) {
-  Workflow ctrl("ctrl");
-  const TaskId t1 = ctrl.addTask("a", "t", 1.0);
-  const TaskId t2 = ctrl.addTask("b", "t", 1.0);
-  ctrl.addControlDependency(t1, t2);
-  ctrl.finalize();
+  WorkflowBuilder builder("ctrl");
+  const TaskId t1 = builder.addTask("a", "t", 1.0);
+  const TaskId t2 = builder.addTask("b", "t", 1.0);
+  builder.addControlDependency(t1, t2);
+  const Workflow ctrl = builder.build();
   const Workflow merged = mergeWorkflows({ctrl, ctrl});
   EXPECT_EQ(merged.controlDependencies().size(), 2u);
   EXPECT_EQ(merged.task(1).parents, (std::vector<TaskId>{0}));

@@ -30,7 +30,7 @@ TEST(RandomDag, AlwaysValidDags) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     const Workflow wf = makeRandomWorkflow(seed);
     EXPECT_GT(wf.taskCount(), 0u) << "seed " << seed;
-    // finalize() already validated acyclicity; spot-check invariants.
+    // build() already validated acyclicity; spot-check invariants.
     const auto order = topologicalOrder(wf);
     EXPECT_EQ(order.size(), wf.taskCount()) << "seed " << seed;
     EXPECT_GT(criticalPathSeconds(wf), 0.0) << "seed " << seed;

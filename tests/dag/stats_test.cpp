@@ -73,15 +73,9 @@ TEST(Stats, MontageRoutineBreakdown) {
   EXPECT_EQ(tasks, wf.taskCount());
 }
 
-TEST(Stats, UnfinalizedRejected) {
-  Workflow wf("raw");
-  wf.addTask("t", "t", 1.0);
-  EXPECT_THROW(computeStats(wf), std::logic_error);
-}
-
 TEST(Stats, EmptyWorkflow) {
-  Workflow wf("empty");
-  wf.finalize();
+  WorkflowBuilder builder("empty");
+  const Workflow wf = builder.build();
   const WorkflowStats stats = computeStats(wf);
   EXPECT_TRUE(stats.byType.empty());
   EXPECT_TRUE(stats.byLevel.empty());

@@ -37,15 +37,9 @@ TEST(EngineConfigTest, InvalidConfigsRejected) {
   EXPECT_THROW(simulateWorkflow(fig.wf, cfg), std::invalid_argument);
 }
 
-TEST(EngineConfigTest, UnfinalizedWorkflowRejected) {
-  dag::Workflow wf("raw");
-  wf.addTask("t", "t", 1.0);
-  EXPECT_THROW(simulateWorkflow(wf, basic()), std::invalid_argument);
-}
-
 TEST(EngineConfigTest, EmptyWorkflowCompletesImmediately) {
-  dag::Workflow wf("empty");
-  wf.finalize();
+  dag::WorkflowBuilder builder("empty");
+  const dag::Workflow wf = builder.build();
   const auto r = simulateWorkflow(wf, basic());
   EXPECT_DOUBLE_EQ(r.makespanSeconds, 0.0);
   EXPECT_EQ(r.tasksExecuted, 0u);
@@ -66,8 +60,8 @@ TEST(EngineConfigTest, VmOverheadsExtendMakespanExactly) {
 }
 
 TEST(EngineConfigTest, VmOverheadAppliesToEmptyWorkflow) {
-  dag::Workflow wf("empty");
-  wf.finalize();
+  dag::WorkflowBuilder builder("empty");
+  const dag::Workflow wf = builder.build();
   EngineConfig cfg = basic();
   cfg.vmStartupSeconds = 60.0;
   cfg.vmTeardownSeconds = 60.0;
@@ -129,25 +123,25 @@ TEST(EngineConfigTest, CriticalPathFirstBeatsFifoOnAdversarialGraph) {
   // External file x feeds S1, S2 (10 s sinks) and L (1 s head of a 100 s
   // chain).  FIFO readiness order starts S1, S2 on the two processors and
   // strands the long chain; CP-first starts L immediately.
-  dag::Workflow wf("adversarial");
-  const dag::FileId x = wf.addFile("x", Bytes(1.0));
-  const dag::TaskId s1 = wf.addTask("s1", "short", 10.0);
-  wf.addInput(s1, x);
-  const dag::FileId s1o = wf.addFile("s1o", Bytes(1.0));
-  wf.addOutput(s1, s1o);
-  const dag::TaskId s2 = wf.addTask("s2", "short", 10.0);
-  wf.addInput(s2, x);
-  const dag::FileId s2o = wf.addFile("s2o", Bytes(1.0));
-  wf.addOutput(s2, s2o);
-  const dag::TaskId l = wf.addTask("l", "head", 1.0);
-  wf.addInput(l, x);
-  const dag::FileId lo = wf.addFile("lo", Bytes(1.0));
-  wf.addOutput(l, lo);
-  const dag::TaskId l2 = wf.addTask("l2", "chain", 100.0);
-  wf.addInput(l2, lo);
-  const dag::FileId l2o = wf.addFile("l2o", Bytes(1.0));
-  wf.addOutput(l2, l2o);
-  wf.finalize();
+  dag::WorkflowBuilder builder("adversarial");
+  const dag::FileId x = builder.addFile("x", Bytes(1.0));
+  const dag::TaskId s1 = builder.addTask("s1", "short", 10.0);
+  builder.addInput(s1, x);
+  const dag::FileId s1o = builder.addFile("s1o", Bytes(1.0));
+  builder.addOutput(s1, s1o);
+  const dag::TaskId s2 = builder.addTask("s2", "short", 10.0);
+  builder.addInput(s2, x);
+  const dag::FileId s2o = builder.addFile("s2o", Bytes(1.0));
+  builder.addOutput(s2, s2o);
+  const dag::TaskId l = builder.addTask("l", "head", 1.0);
+  builder.addInput(l, x);
+  const dag::FileId lo = builder.addFile("lo", Bytes(1.0));
+  builder.addOutput(l, lo);
+  const dag::TaskId l2 = builder.addTask("l2", "chain", 100.0);
+  builder.addInput(l2, lo);
+  const dag::FileId l2o = builder.addFile("l2o", Bytes(1.0));
+  builder.addOutput(l2, l2o);
+  const dag::Workflow wf = builder.build();
 
   EngineConfig fifo = basic(DataMode::Regular, 2);
   fifo.scheduler = SchedulerPolicy::Fifo;
@@ -160,11 +154,11 @@ TEST(EngineConfigTest, CriticalPathFirstBeatsFifoOnAdversarialGraph) {
 
 TEST(EngineConfigTest, SourceOnlyTasksRunWithoutStageIn) {
   // A workflow whose tasks have no inputs at all: they are ready at t=0.
-  dag::Workflow wf("no-inputs");
-  const dag::TaskId t = wf.addTask("gen", "gen", 5.0);
-  const dag::FileId out = wf.addFile("out", Bytes::fromMB(2.0));
-  wf.addOutput(t, out);
-  wf.finalize();
+  dag::WorkflowBuilder builder("no-inputs");
+  const dag::TaskId t = builder.addTask("gen", "gen", 5.0);
+  const dag::FileId out = builder.addFile("out", Bytes::fromMB(2.0));
+  builder.addOutput(t, out);
+  const dag::Workflow wf = builder.build();
   const auto r = simulateWorkflow(wf, basic(DataMode::Regular, 1));
   // 5 s compute + 2 s stage-out at 1 MB/s.
   EXPECT_NEAR(r.makespanSeconds, 7.0, 1e-9);
@@ -173,13 +167,13 @@ TEST(EngineConfigTest, SourceOnlyTasksRunWithoutStageIn) {
 }
 
 TEST(EngineConfigTest, ZeroRuntimeTasksComplete) {
-  dag::Workflow wf("zero");
-  const dag::FileId in = wf.addFile("in", Bytes(1.0));
-  const dag::TaskId t = wf.addTask("t", "t", 0.0);
-  wf.addInput(t, in);
-  const dag::FileId out = wf.addFile("out", Bytes(1.0));
-  wf.addOutput(t, out);
-  wf.finalize();
+  dag::WorkflowBuilder builder("zero");
+  const dag::FileId in = builder.addFile("in", Bytes(1.0));
+  const dag::TaskId t = builder.addTask("t", "t", 0.0);
+  builder.addInput(t, in);
+  const dag::FileId out = builder.addFile("out", Bytes(1.0));
+  builder.addOutput(t, out);
+  const dag::Workflow wf = builder.build();
   for (DataMode mode : {DataMode::RemoteIO, DataMode::Regular,
                         DataMode::DynamicCleanup}) {
     const auto r = simulateWorkflow(wf, basic(mode, 1));

@@ -3,6 +3,9 @@
 // constrained resources) and §8 (reliability).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "tests/common/fixtures.hpp"
 #include "mcsim/engine/engine.hpp"
 #include "mcsim/montage/factory.hpp"
@@ -51,25 +54,57 @@ TEST(StorageCap, CleanupRunsWhereRegularDeadlocks) {
                std::runtime_error);
 }
 
+TEST(StorageCap, CleanupDeadlockMessageDoesNotSuggestCleanup) {
+  // Montage's cleanup peak is its end state, so a cap below it deadlocks a
+  // cleanup run as surely as a regular one; the message must not send the
+  // user to the mode the run already uses.
+  const dag::Workflow wf = montage::buildMontageWorkflow(2.0);
+  EngineConfig cfg;
+  cfg.processors = 16;
+  cfg.mode = DataMode::DynamicCleanup;
+  cfg.storageCapacityBytes =
+      0.6 * simulateWorkflow(wf, cfg).peakStorageBytes.value();
+  auto deadlockMessage = [&] {
+    try {
+      simulateWorkflow(wf, cfg);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string cleanup = deadlockMessage();
+  EXPECT_NE(cleanup.find("deadlock"), std::string::npos) << cleanup;
+  EXPECT_NE(cleanup.find("even with dynamic cleanup"), std::string::npos)
+      << cleanup;
+  EXPECT_EQ(cleanup.find("use DynamicCleanup"), std::string::npos) << cleanup;
+
+  cfg.mode = DataMode::Regular;
+  const std::string regular = deadlockMessage();
+  EXPECT_NE(regular.find("(regular mode frees no space mid-run; use "
+                         "DynamicCleanup or raise storageCapacityBytes)"),
+            std::string::npos)
+      << regular;
+}
+
 TEST(StorageCap, BlockedTasksEventuallyRun) {
   // Four map->reduce pairs: maps emit 3 MB intermediates that their reduces
   // consume into 0.1 MB products.  A 7 MB cap admits two concurrent maps
   // (plus the 0.4 MB of inputs); the rest block until cleanup frees the
   // consumed intermediates — serialization instead of failure.
-  dag::Workflow wf("parallel-heavy");
+  dag::WorkflowBuilder builder("parallel-heavy");
   for (int i = 0; i < 4; ++i) {
     const std::string n = std::to_string(i);
-    const dag::FileId in = wf.addFile("in" + n, Bytes::fromMB(0.1));
-    const dag::TaskId map = wf.addTask("map" + n, "map", 10.0);
-    wf.addInput(map, in);
-    const dag::FileId mid = wf.addFile("mid" + n, Bytes::fromMB(3.0));
-    wf.addOutput(map, mid);
-    const dag::TaskId reduce = wf.addTask("reduce" + n, "reduce", 1.0);
-    wf.addInput(reduce, mid);
-    const dag::FileId out = wf.addFile("out" + n, Bytes::fromMB(0.1));
-    wf.addOutput(reduce, out);
+    const dag::FileId in = builder.addFile("in" + n, Bytes::fromMB(0.1));
+    const dag::TaskId map = builder.addTask("map" + n, "map", 10.0);
+    builder.addInput(map, in);
+    const dag::FileId mid = builder.addFile("mid" + n, Bytes::fromMB(3.0));
+    builder.addOutput(map, mid);
+    const dag::TaskId reduce = builder.addTask("reduce" + n, "reduce", 1.0);
+    builder.addInput(reduce, mid);
+    const dag::FileId out = builder.addFile("out" + n, Bytes::fromMB(0.1));
+    builder.addOutput(reduce, out);
   }
-  wf.finalize();
+  const dag::Workflow wf = builder.build();
   const auto r =
       simulateWorkflow(wf, capped(DataMode::DynamicCleanup, 8, 7.0));
   EXPECT_EQ(r.tasksExecuted, 8u);

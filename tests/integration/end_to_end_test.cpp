@@ -114,29 +114,30 @@ TEST(EndToEnd, FeeStructureFlipsDataModeRanking) {
 TEST(EndToEnd, CustomWorkflowThroughWholeStack) {
   // A user-built (non-Montage) workflow runs through sweep, comparison and
   // economics without any Montage-specific assumptions.
-  dag::Workflow wf("custom-pipeline");
-  const dag::FileId raw = wf.addFile("raw.dat", Bytes::fromGB(1.0));
-  const dag::TaskId split = wf.addTask("split", "split", 60.0);
-  wf.addInput(split, raw);
+  dag::WorkflowBuilder builder("custom-pipeline");
+  const dag::FileId raw = builder.addFile("raw.dat", Bytes::fromGB(1.0));
+  const dag::TaskId split = builder.addTask("split", "split", 60.0);
+  builder.addInput(split, raw);
   std::vector<dag::FileId> shards;
   for (int i = 0; i < 6; ++i) {
     const dag::FileId s =
-        wf.addFile("shard" + std::to_string(i), Bytes::fromMB(150.0));
-    wf.addOutput(split, s);
+        builder.addFile("shard" + std::to_string(i), Bytes::fromMB(150.0));
+    builder.addOutput(split, s);
     shards.push_back(s);
   }
-  const dag::TaskId merge = wf.addTask("merge", "merge", 120.0);
+  const dag::TaskId merge = builder.addTask("merge", "merge", 120.0);
   for (dag::FileId s : shards) {
-    const dag::TaskId t = wf.addTask("proc" + std::to_string(s), "proc", 300.0);
-    wf.addInput(t, s);
+    const dag::TaskId t =
+        builder.addTask("proc" + std::to_string(s), "proc", 300.0);
+    builder.addInput(t, s);
     const dag::FileId o =
-        wf.addFile("out" + std::to_string(s), Bytes::fromMB(80.0));
-    wf.addOutput(t, o);
-    wf.addInput(merge, o);
+        builder.addFile("out" + std::to_string(s), Bytes::fromMB(80.0));
+    builder.addOutput(t, o);
+    builder.addInput(merge, o);
   }
-  const dag::FileId product = wf.addFile("product", Bytes::fromMB(200.0));
-  wf.addOutput(merge, product);
-  wf.finalize();
+  const dag::FileId product = builder.addFile("product", Bytes::fromMB(200.0));
+  builder.addOutput(merge, product);
+  const dag::Workflow wf = builder.build();
 
   const auto pts = analysis::provisioningSweep(
       wf, kAmazon, {.processorCounts = {1, 2, 6}});

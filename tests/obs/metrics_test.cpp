@@ -320,6 +320,32 @@ TEST(MetricsDelta, HandFedEventsApplyLikeReplay) {
   EXPECT_GT(delta.heapBytes(), 0u);
 }
 
+TEST(MetricsDelta, PairingDoesNotOutliveItsRun) {
+  // A task readied but cut off before it started: its ready time must not
+  // pair with a same-id start in the next scenario on a long-lived sink.
+  MetricsRegistry a, b;
+  MetricsSink replay(a), apply(b);
+  MetricsFold fold;
+  const std::vector<Event> events = {
+      Event{1.0, TaskReady{7}},
+      Event{2.0, RunFinished{2.0}},
+      Event{5.0, TaskStarted{7}},
+      Event{6.0, TaskExecStarted{8}},
+      Event{7.0, RunFinished{7.0}},
+      Event{9.0, TaskFinished{8, 1.0}},
+  };
+  for (const Event& e : events) {
+    replay.onEvent(e);
+    fold.onEvent(e);
+  }
+  apply.apply(fold.take());
+  EXPECT_EQ(exposition(a), exposition(b));
+  EXPECT_NE(exposition(a).find("mcsim_task_wait_seconds_count 0\n"),
+            std::string::npos);
+  EXPECT_NE(exposition(a).find("mcsim_task_exec_seconds_count 0\n"),
+            std::string::npos);
+}
+
 TEST(MetricsSink, NeedsNoEventsButFanOutAsksItsChildren) {
   MetricsRegistry reg;
   MetricsSink metrics(reg);
