@@ -42,11 +42,24 @@ void appendPart(WorkflowBuilder& merged, const Workflow& part,
     merged.addControlDependency(taskMap[parent], taskMap[child]);
 }
 
-/// mergeWorkflows with one release time per part, or none when
-/// `releaseSeconds` is empty.
-Workflow mergeParts(const std::vector<Workflow>& parts,
-                    const std::vector<double>& releaseSeconds,
-                    const std::string& name) {
+}  // namespace
+
+Workflow mergeWorkflows(const std::vector<Workflow>& parts,
+                        const std::string& name) {
+  return mergeWorkflowsStaggered(parts, std::vector<double>(parts.size(), 0.0),
+                                 name);
+}
+
+Workflow mergeWorkflowsStaggered(const std::vector<Workflow>& parts,
+                                 const std::vector<double>& releaseSeconds,
+                                 const std::string& name) {
+  if (releaseSeconds.size() != parts.size())
+    throw std::invalid_argument(
+        "mergeWorkflowsStaggered: one release time per part required");
+  for (double release : releaseSeconds)
+    if (release < 0.0)
+      throw std::invalid_argument(
+          "mergeWorkflowsStaggered: negative release time");
   if (parts.empty())
     throw std::invalid_argument("mergeWorkflows: no parts");
 
@@ -79,30 +92,9 @@ Workflow mergeParts(const std::vector<Workflow>& parts,
   std::vector<FileId> fileMap;
   std::string nameScratch;
   for (std::size_t i = 0; i < parts.size(); ++i)
-    appendPart(merged, parts[i], prefixes[i],
-               releaseSeconds.empty() ? 0.0 : releaseSeconds[i], taskMap,
+    appendPart(merged, parts[i], prefixes[i], releaseSeconds[i], taskMap,
                fileMap, nameScratch);
   return merged.build();
-}
-
-}  // namespace
-
-Workflow mergeWorkflows(const std::vector<Workflow>& parts,
-                        const std::string& name) {
-  return mergeParts(parts, {}, name);
-}
-
-Workflow mergeWorkflowsStaggered(const std::vector<Workflow>& parts,
-                                 const std::vector<double>& releaseSeconds,
-                                 const std::string& name) {
-  if (releaseSeconds.size() != parts.size())
-    throw std::invalid_argument(
-        "mergeWorkflowsStaggered: one release time per part required");
-  for (double release : releaseSeconds)
-    if (release < 0.0)
-      throw std::invalid_argument(
-          "mergeWorkflowsStaggered: negative release time");
-  return mergeParts(parts, releaseSeconds, name);
 }
 
 std::vector<TaskId> partTaskOffsets(const std::vector<Workflow>& parts) {

@@ -122,9 +122,10 @@ class Workflow {
 ///
 /// Calls may come in any order a generator finds natural, as long as a task
 /// or file exists before it is referenced: inputs and outputs may bind to
-/// any earlier task (CyberShake binds its zip task's inputs last), a file's
-/// producer may be declared after its consumers, and a control edge may
-/// point from a higher task id to a lower one.  The builder stages the calls
+/// any earlier task (CyberShake's zip tasks come first and collect their
+/// inputs as the producers appear), a file's producer may be declared after
+/// its consumers, and a control edge may point from a higher task id to a
+/// lower one.  The builder stages the calls
 /// in flat columns — one shared name arena, an interned type table, and the
 /// (task, file) bindings in call order — and build() derives the graph in
 /// one pass:
