@@ -39,8 +39,8 @@ inline int parseJobs(int argc, char** argv) {
 runner::JobQueue& sharedQueue(int workers);
 
 /// Peak resident set size of this process so far, in bytes (getrusage
-/// ru_maxrss; 0 where unsupported).  Benches report it alongside wall
-/// times so memory regressions show up in the committed BENCH_*.json.
+/// ru_maxrss; 0 where unsupported).  perf_layers reports it per survey
+/// tier (BM_SurveyTier's peak_rss_mib counter).
 std::size_t peakRssBytes();
 
 /// Print the Question-1 provisioning figure (Figs 4/5/6) for one preset.

@@ -12,7 +12,7 @@
 // By default nothing is written to disk.  Pass --telemetry-dir to persist
 // the run the same way `mcsim simulate --telemetry-dir` does — events.jsonl,
 // metrics.prom and report.json — plus the span trace as trace.perfetto.json
-// (open in ui.perfetto.dev) and trace.mctrace (binary, obs::readMctrace).
+// (open in ui.perfetto.dev).
 //
 //   ./examples/telemetry_tour [degrees] [processors] [--telemetry-dir DIR]
 #include <algorithm>
@@ -150,16 +150,10 @@ int main(int argc, char** argv) {
       const obs::TraceNames names = analysis::traceNames(wf);
       obs::writePerfettoTrace(out, store, &names);
     }
-    const std::string mctracePath = telemetryDir + "/trace.mctrace";
-    {
-      std::ofstream out(mctracePath, std::ios::binary);
-      if (!out) throw std::runtime_error("cannot write " + mctracePath);
-      obs::writeMctrace(out, store);
-    }
     std::cout << "\ntelemetry written: " << session->eventsPath() << ", "
               << session->metricsPath() << ", " << session->reportPath()
               << " (report total " << formatMoney(persisted.totals.total())
-              << "),\n  " << perfettoPath << ", " << mctracePath << "\n";
+              << "),\n  " << perfettoPath << "\n";
   }
   return 0;
 }

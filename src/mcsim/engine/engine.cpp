@@ -116,6 +116,11 @@ class Run {
             (cfg_.mode == DataMode::DynamicCleanup
                  ? "(the live files exceed storageCapacityBytes even with "
                    "dynamic cleanup; raise storageCapacityBytes)"
+             : cfg_.mode == DataMode::RemoteIO
+                 ? "(remote I/O admits a task only when its inputs plus "
+                   "outputs fit, so a task whose working set exceeds "
+                   "storageCapacityBytes can never start; raise "
+                   "storageCapacityBytes)"
                  : "(regular mode frees no space mid-run; use DynamicCleanup "
                    "or raise storageCapacityBytes)"));
       throw std::logic_error(

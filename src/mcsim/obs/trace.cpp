@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <istream>
 #include <ostream>
-#include <stdexcept>
 
 namespace mcsim::obs {
 
@@ -90,17 +87,6 @@ void TraceStore::addCounterSample(double time, double residentBytes,
   counterBytes_.push_back(residentBytes);
   counterObjects_.push_back(objects);
   note(time);
-}
-
-bool TraceStore::operator==(const TraceStore& other) const {
-  return spanKind_ == other.spanKind_ && spanFlags_ == other.spanFlags_ &&
-         spanBegin_ == other.spanBegin_ && spanEnd_ == other.spanEnd_ &&
-         spanTask_ == other.spanTask_ && spanFile_ == other.spanFile_ &&
-         spanBytes_ == other.spanBytes_ && spanLane_ == other.spanLane_ &&
-         edgeFrom_ == other.edgeFrom_ && edgeTo_ == other.edgeTo_ &&
-         edgeKind_ == other.edgeKind_ && counterTime_ == other.counterTime_ &&
-         counterBytes_ == other.counterBytes_ &&
-         counterObjects_ == other.counterObjects_;
 }
 
 // -- SpanSink -----------------------------------------------------------------
@@ -617,158 +603,6 @@ void writePerfettoTrace(std::ostream& os, const TraceStore& store,
     os << "}}";
   }
   os << "\n]}\n";
-}
-
-// -- .mctrace binary format ---------------------------------------------------
-
-namespace {
-
-constexpr char kMagic[4] = {'M', 'C', 'T', 'R'};
-constexpr std::uint32_t kVersion = 1;
-
-template <class T>
-void writeColumn(std::ostream& os, const std::vector<T>& column) {
-  if (!column.empty())
-    os.write(reinterpret_cast<const char*>(column.data()),
-             static_cast<std::streamsize>(column.size() * sizeof(T)));
-}
-
-void writeU32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-void writeU64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-class MctraceReader {
- public:
-  explicit MctraceReader(std::istream& is) : is_(is) {}
-
-  template <class T>
-  T scalar(const char* what) {
-    T v{};
-    is_.read(reinterpret_cast<char*>(&v), sizeof v);
-    if (!is_) fail(what);
-    return v;
-  }
-
-  template <class T>
-  std::vector<T> column(std::size_t count, const char* what) {
-    std::vector<T> v(count);
-    if (count > 0) {
-      is_.read(reinterpret_cast<char*>(v.data()),
-               static_cast<std::streamsize>(count * sizeof(T)));
-      if (!is_) fail(what);
-    }
-    return v;
-  }
-
-  [[noreturn]] void fail(const char* what) {
-    throw std::runtime_error(std::string("readMctrace: truncated or corrupt "
-                                         "stream (") +
-                             what + ")");
-  }
-
- private:
-  std::istream& is_;
-};
-
-}  // namespace
-
-void writeMctrace(std::ostream& os, const TraceStore& store) {
-  os.write(kMagic, sizeof kMagic);
-  writeU32(os, kVersion);
-  writeU64(os, store.spanCount());
-  writeU64(os, store.edgeCount());
-  writeU64(os, store.counterCount());
-  writeColumn(os, store.spanKinds());
-  writeColumn(os, store.spanFlags());
-  writeColumn(os, store.spanBegins());
-  writeColumn(os, store.spanEnds());
-  writeColumn(os, store.spanTasks());
-  writeColumn(os, store.spanFiles());
-  writeColumn(os, store.spanByteCounts());
-  writeColumn(os, store.spanLanes());
-  writeColumn(os, store.edgeFroms());
-  writeColumn(os, store.edgeTos());
-  writeColumn(os, store.edgeKinds());
-  writeColumn(os, store.counterTimes());
-  writeColumn(os, store.counterBytes());
-  writeColumn(os, store.counterObjects());
-}
-
-TraceStore readMctrace(std::istream& is) {
-  MctraceReader r(is);
-  char magic[4];
-  is.read(magic, sizeof magic);
-  if (!is || std::memcmp(magic, kMagic, sizeof kMagic) != 0)
-    throw std::runtime_error("readMctrace: not an mctrace stream (bad magic)");
-  const std::uint32_t version = r.scalar<std::uint32_t>("version");
-  if (version != kVersion)
-    throw std::runtime_error("readMctrace: unsupported version " +
-                             std::to_string(version));
-  const std::uint64_t spans = r.scalar<std::uint64_t>("span count");
-  const std::uint64_t edges = r.scalar<std::uint64_t>("edge count");
-  const std::uint64_t counters = r.scalar<std::uint64_t>("counter count");
-  // Cap declared counts by what the remaining stream could possibly hold, so
-  // a corrupted header cannot drive a huge allocation.
-  const auto here = is.tellg();
-  is.seekg(0, std::ios::end);
-  const auto end = is.tellg();
-  is.seekg(here);
-  if (here >= 0 && end >= 0) {
-    const std::uint64_t remaining = static_cast<std::uint64_t>(end - here);
-    const std::uint64_t needed =
-        spans * (2 * sizeof(std::uint8_t) + 3 * sizeof(double) +
-                 2 * sizeof(std::uint32_t) + sizeof(std::int32_t)) +
-        edges * (2 * sizeof(std::uint32_t) + sizeof(std::uint8_t)) +
-        counters * (3 * sizeof(double));
-    if (needed != remaining)
-      throw std::runtime_error(
-          "readMctrace: declared sizes do not match stream length");
-  }
-
-  TraceStore store;
-  const auto kinds = r.column<std::uint8_t>(spans, "span kinds");
-  const auto flags = r.column<std::uint8_t>(spans, "span flags");
-  const auto begins = r.column<double>(spans, "span begins");
-  const auto ends = r.column<double>(spans, "span ends");
-  const auto tasks = r.column<std::uint32_t>(spans, "span tasks");
-  const auto files = r.column<std::uint32_t>(spans, "span files");
-  const auto byteCounts = r.column<double>(spans, "span bytes");
-  const auto lanes = r.column<std::int32_t>(spans, "span lanes");
-  const auto edgeFrom = r.column<std::uint32_t>(edges, "edge froms");
-  const auto edgeTo = r.column<std::uint32_t>(edges, "edge tos");
-  const auto edgeKinds = r.column<std::uint8_t>(edges, "edge kinds");
-  const auto counterTimes = r.column<double>(counters, "counter times");
-  const auto counterBytes = r.column<double>(counters, "counter bytes");
-  const auto counterObjects = r.column<double>(counters, "counter objects");
-
-  store.reserve(spans, edges, counters);
-  for (std::uint64_t i = 0; i < spans; ++i) {
-    if (kinds[i] >= kSpanKindCount)
-      throw std::runtime_error("readMctrace: invalid span kind " +
-                               std::to_string(kinds[i]));
-    const std::uint32_t id =
-        store.beginSpan(static_cast<SpanKind>(kinds[i]), begins[i], tasks[i],
-                        files[i], byteCounts[i], lanes[i]);
-    if (ends[i] >= 0.0) store.endSpan(id, ends[i]);
-    if ((flags[i] & kSpanFlagFailed) != 0) store.markFailed(id);
-  }
-  for (std::uint64_t i = 0; i < edges; ++i) {
-    if (edgeFrom[i] >= spans || edgeTo[i] >= spans)
-      throw std::runtime_error("readMctrace: edge references missing span");
-    if (edgeKinds[i] > static_cast<std::uint8_t>(EdgeKind::Resource))
-      throw std::runtime_error("readMctrace: invalid edge kind " +
-                               std::to_string(edgeKinds[i]));
-    store.addEdge(edgeFrom[i], edgeTo[i],
-                  static_cast<EdgeKind>(edgeKinds[i]));
-  }
-  for (std::uint64_t i = 0; i < counters; ++i)
-    store.addCounterSample(counterTimes[i], counterBytes[i],
-                           counterObjects[i]);
-  return store;
 }
 
 }  // namespace mcsim::obs

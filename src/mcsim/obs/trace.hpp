@@ -7,8 +7,7 @@
 //    span attribute (kind, begin, end, task, file, bytes, lane, flags), plus
 //    edge and counter-sample columns.  Million-task runs produce a few
 //    million spans; SoA keeps that at tens of bytes per span with zero
-//    per-span allocation, and makes the binary `.mctrace` format a straight
-//    dump of the columns.
+//    per-span allocation.
 //  * `SpanSink` is an ordinary obs::Sink: it consumes the engine's event
 //    stream and opens/closes spans.  Folding is purely event-driven, so the
 //    sink works on live runs, replayed runner captures, and JSONL re-reads
@@ -35,7 +34,7 @@
 
 namespace mcsim::obs {
 
-/// What a span measures.  Values are stable (part of the .mctrace format).
+/// What a span measures.  Values are stable.
 enum class SpanKind : std::uint8_t {
   Run,          ///< RunStarted .. RunFinished (excludes VM startup/teardown).
   QueueWait,    ///< TaskReady .. TaskStarted (deps met, waiting to dispatch).
@@ -52,7 +51,7 @@ inline constexpr std::size_t kSpanKindCount = 8;
 /// Stable snake_case name (Perfetto categories, explain buckets, JSON).
 const char* spanKindName(SpanKind kind);
 
-/// How two spans relate.  Values are stable (part of the .mctrace format).
+/// How two spans relate.  Values are stable.
 enum class EdgeKind : std::uint8_t {
   Child,        ///< `to` is a sub-span of `from` (same task, nested in time).
   FollowsFrom,  ///< `from` ending is why `to` could begin (causality).
@@ -108,15 +107,8 @@ class TraceStore {
   double bytes(std::uint32_t span) const { return spanBytes_[span]; }
   std::int32_t lane(std::uint32_t span) const { return spanLane_[span]; }
 
-  // Raw columns (exporters, .mctrace, tests).
-  const std::vector<std::uint8_t>& spanKinds() const { return spanKind_; }
-  const std::vector<std::uint8_t>& spanFlags() const { return spanFlags_; }
+  // Raw columns (exporters, tests).
   const std::vector<double>& spanBegins() const { return spanBegin_; }
-  const std::vector<double>& spanEnds() const { return spanEnd_; }
-  const std::vector<std::uint32_t>& spanTasks() const { return spanTask_; }
-  const std::vector<std::uint32_t>& spanFiles() const { return spanFile_; }
-  const std::vector<double>& spanByteCounts() const { return spanBytes_; }
-  const std::vector<std::int32_t>& spanLanes() const { return spanLane_; }
   const std::vector<std::uint32_t>& edgeFroms() const { return edgeFrom_; }
   const std::vector<std::uint32_t>& edgeTos() const { return edgeTo_; }
   const std::vector<std::uint8_t>& edgeKinds() const { return edgeKind_; }
@@ -129,8 +121,6 @@ class TraceStore {
   /// Latest time seen across span begins/ends and counter samples — the
   /// clip point exporters use for still-open spans.
   double maxTime() const { return maxTime_; }
-
-  bool operator==(const TraceStore& other) const;
 
  private:
   void note(double t) {
@@ -274,13 +264,5 @@ struct TraceNames {
 /// are clipped at store.maxTime().
 void writePerfettoTrace(std::ostream& os, const TraceStore& store,
                         const TraceNames* names = nullptr);
-
-/// Compact binary trace: magic "MCTR", version, column sizes, then the raw
-/// little-endian columns.  ~44 bytes/span, no JSON parse cost on re-read.
-void writeMctrace(std::ostream& os, const TraceStore& store);
-
-/// Parse a .mctrace stream.  Throws std::runtime_error on bad magic,
-/// unsupported version, or truncation.
-TraceStore readMctrace(std::istream& is);
 
 }  // namespace mcsim::obs

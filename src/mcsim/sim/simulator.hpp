@@ -13,8 +13,7 @@
 // cancel() removes the event in-place in O(log n) instead of leaving a
 // tombstone.  Event ids are sequential and never recycled.  The original
 // std::priority_queue + tombstone-set calendar survives as a test oracle
-// (tests/support/oracle.hpp) that the differential tests and
-// bench/perf_core hold this one to.
+// (tests/support/oracle.hpp) that the differential tests hold this one to.
 #pragma once
 
 #include <cstddef>

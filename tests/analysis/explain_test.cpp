@@ -190,6 +190,26 @@ TEST(ExplainMontage, AllDataModesTileAndReconcile) {
   }
 }
 
+TEST(ExplainMontage, FourDegreeCleanupRunTilesAndReconciles) {
+  // The run BM_MontageObserved times: 4-degree Montage, dynamic cleanup,
+  // 8 processors sharing one fair-share link.
+  const dag::Workflow wf = montage::buildMontageWorkflow(4.0);
+  engine::EngineConfig cfg;
+  cfg.mode = engine::DataMode::DynamicCleanup;
+  cfg.processors = 8;
+  cfg.linkSharing = sim::LinkSharing::FairShare;
+  const ExplainedRun run = explainWorkflow(wf, cfg);
+
+  ASSERT_TRUE(run.result.completed());
+  EXPECT_GE(run.explanation.makespanSeconds, dag::criticalPathSeconds(wf));
+  EXPECT_DOUBLE_EQ(run.explanation.makespanSeconds,
+                   run.result.makespanSeconds);
+  expectTilesMakespan(run.explanation, 1e-6);
+  expectCostsReconcile(run.explanation);
+  EXPECT_GT(run.explanation.criticalTasks, 0u);
+  EXPECT_EQ(run.explanation.totalTasks, wf.taskCount());
+}
+
 TEST(ExplainMontage, UsageBillingReconcilesToo) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.5);
   engine::EngineConfig cfg;

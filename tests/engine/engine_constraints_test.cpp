@@ -86,6 +86,28 @@ TEST(StorageCap, CleanupDeadlockMessageDoesNotSuggestCleanup) {
       << regular;
 }
 
+TEST(StorageCap, RemoteIoDeadlockMessageNamesTheWorkingSet) {
+  // Remote I/O admits a task only when its own inputs plus outputs fit, so
+  // a cap below one task's working set blocks it forever; cleanup frees
+  // nothing there, and the message must not suggest it.
+  const dag::Workflow wf = montage::buildMontageWorkflow(1.0);
+  EngineConfig cfg;
+  cfg.processors = 4;
+  cfg.mode = DataMode::RemoteIO;
+  cfg.storageCapacityBytes = 1e6;
+  std::string message;
+  try {
+    simulateWorkflow(wf, cfg);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("deadlock"), std::string::npos) << message;
+  EXPECT_NE(message.find("remote I/O"), std::string::npos) << message;
+  EXPECT_NE(message.find("inputs plus outputs"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("DynamicCleanup"), std::string::npos) << message;
+}
+
 TEST(StorageCap, BlockedTasksEventuallyRun) {
   // Four map->reduce pairs: maps emit 3 MB intermediates that their reduces
   // consume into 0.1 MB products.  A 7 MB cap admits two concurrent maps

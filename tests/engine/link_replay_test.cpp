@@ -81,6 +81,17 @@ TEST(ReferenceCore, AgreesOnMontageCleanupFairShare) {
   expectReplaysAgree(wf, cfg);
 }
 
+TEST(ReferenceCore, AgreesOnMontage4DegCleanupEightProcessors) {
+  // The run BM_MontageObserved times: its whole link traffic must replay
+  // identically on the production and the reference core.
+  const dag::Workflow wf = montage::buildMontageWorkflow(4.0);
+  EngineConfig cfg;
+  cfg.mode = DataMode::DynamicCleanup;
+  cfg.processors = 8;
+  cfg.linkSharing = sim::LinkSharing::FairShare;
+  expectReplaysAgree(wf, cfg);
+}
+
 TEST(ReferenceCore, AgreesOnMontageRemoteIo) {
   const dag::Workflow wf = montage::buildMontageWorkflow(0.4);
   EngineConfig cfg;

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "tests/common/fixtures.hpp"
+#include "mcsim/analysis/explain.hpp"
 #include "mcsim/cloud/storage.hpp"
 #include "mcsim/engine/engine.hpp"
+#include "mcsim/montage/factory.hpp"
 #include "mcsim/obs/sampler.hpp"
 #include "mcsim/obs/sink.hpp"
 #include "mcsim/obs/trace.hpp"
@@ -240,10 +244,18 @@ TEST(EngineEvents, SamplerEmitsStorageSamples) {
 }
 
 TEST(EngineEvents, ObservationDoesNotPerturbTheRun) {
-  // The determinism contract: identical results with no sink, a NullSink,
-  // and a full recorder — telemetry must be read-only.
-  const auto wfs = {test::makeForkJoinWorkflow(6), test::makeChainWorkflow(5)};
-  for (const dag::Workflow& wf : wfs) {
+  // The determinism contract: identical results, bit for bit, with no sink,
+  // a NullSink, a full recorder and a span fold — telemetry is read-only.
+  // Beside the small fixtures under faults, the 4-degree Montage cleanup run
+  // on 8 processors with a fair-share link is the one BM_MontageObserved
+  // times.
+  struct Case {
+    dag::Workflow wf;
+    engine::EngineConfig cfg;
+  };
+  std::vector<Case> cases;
+  for (dag::Workflow wf :
+       {test::makeForkJoinWorkflow(6), test::makeChainWorkflow(5)}) {
     for (const auto mode :
          {engine::DataMode::Regular, engine::DataMode::DynamicCleanup,
           engine::DataMode::RemoteIO}) {
@@ -251,24 +263,40 @@ TEST(EngineEvents, ObservationDoesNotPerturbTheRun) {
       cfg.processors = 3;
       cfg.mode = mode;
       cfg.faults.legacy.probability = 0.05;
-      const auto bare = engine::simulateWorkflow(wf, cfg);
+      cases.push_back({wf, cfg});
+    }
+  }
+  engine::EngineConfig montageCfg;
+  montageCfg.processors = 8;
+  montageCfg.mode = engine::DataMode::DynamicCleanup;
+  montageCfg.linkSharing = sim::LinkSharing::FairShare;
+  cases.push_back({montage::buildMontageWorkflow(4.0), montageCfg});
 
-      NullSink null;
-      const auto nulled = observedRun(wf, cfg, &null);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.wf.name() + " " + engine::dataModeName(c.cfg.mode));
+    const auto bare = engine::simulateWorkflow(c.wf, c.cfg);
 
-      RingBufferSink ring(1 << 14);
-      engine::EngineConfig observedCfg = cfg;
-      observedCfg.samplePeriodSeconds = 7.0;
-      const auto observed = observedRun(wf, observedCfg, &ring);
+    NullSink null;
+    const auto nulled = observedRun(c.wf, c.cfg, &null);
 
-      for (const auto& r : {nulled, observed}) {
-        EXPECT_DOUBLE_EQ(r.makespanSeconds, bare.makespanSeconds);
-        EXPECT_DOUBLE_EQ(r.cpuBusySeconds, bare.cpuBusySeconds);
-        EXPECT_DOUBLE_EQ(r.storageByteSeconds, bare.storageByteSeconds);
-        EXPECT_DOUBLE_EQ(r.bytesIn.value(), bare.bytesIn.value());
-        EXPECT_DOUBLE_EQ(r.bytesOut.value(), bare.bytesOut.value());
-        EXPECT_EQ(r.taskRetries, bare.taskRetries);
-      }
+    RingBufferSink ring(1 << 14);
+    engine::EngineConfig sampledCfg = c.cfg;
+    sampledCfg.samplePeriodSeconds = 7.0;
+    const auto recorded = observedRun(c.wf, sampledCfg, &ring);
+
+    TraceStore store;
+    SpanSink spans(store, analysis::traceTopology(c.wf));
+    const auto folded = observedRun(c.wf, c.cfg, &spans);
+    EXPECT_GT(store.spanCount(), c.wf.taskCount());
+
+    for (const auto& r : {nulled, recorded, folded}) {
+      EXPECT_EQ(r.tasksExecuted, bare.tasksExecuted);
+      EXPECT_EQ(r.makespanSeconds, bare.makespanSeconds);
+      EXPECT_EQ(r.cpuBusySeconds, bare.cpuBusySeconds);
+      EXPECT_EQ(r.storageByteSeconds, bare.storageByteSeconds);
+      EXPECT_EQ(r.bytesIn.value(), bare.bytesIn.value());
+      EXPECT_EQ(r.bytesOut.value(), bare.bytesOut.value());
+      EXPECT_EQ(r.taskRetries, bare.taskRetries);
     }
   }
 }

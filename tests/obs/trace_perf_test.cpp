@@ -1,8 +1,5 @@
-// Million-span stress: the SoA TraceStore and the .mctrace round-trip must
-// stay exact (and ASan-clean) at the scale the ROADMAP targets for survey
-// campaigns.  Labeled `perf` — excluded from the default ctest lane.
-#include <sstream>
-
+// Million-span stress: SpanSink folding into the SoA TraceStore must stay
+// exact (and ASan-clean) at the scale of a survey campaign.  Labeled `perf`.
 #include <gtest/gtest.h>
 
 #include "mcsim/obs/trace.hpp"
@@ -10,7 +7,7 @@
 namespace mcsim::obs {
 namespace {
 
-TEST(TracePerf, MillionSpanStoreRoundTripsThroughMctrace) {
+TEST(TracePerf, MillionSpanStoreFolds) {
   constexpr std::uint32_t kTasks = 1'000'000;
   TraceStore store;
   store.reserve(kTasks + 1);
@@ -41,13 +38,11 @@ TEST(TracePerf, MillionSpanStoreRoundTripsThroughMctrace) {
   ASSERT_EQ(store.spanCount(), 1u + 3u * kTasks);
   EXPECT_EQ(store.laneCount(), static_cast<int>(kLanes));
 
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  writeMctrace(buf, store);
-  const TraceStore reread = readMctrace(buf);
-  ASSERT_TRUE(store == reread);
-  EXPECT_EQ(reread.spanCount(), store.spanCount());
-  EXPECT_EQ(reread.edgeCount(), store.edgeCount());
-  EXPECT_DOUBLE_EQ(reread.maxTime(), store.maxTime());
+  // Per task: queue wait -> task (follows-from) and task -> compute (child);
+  // every task after the first wave also waited on its lane's previous
+  // occupant (resource).
+  EXPECT_EQ(store.edgeCount(), 3u * kTasks - kLanes);
+  EXPECT_DOUBLE_EQ(store.maxTime(), finish);
 }
 
 }  // namespace

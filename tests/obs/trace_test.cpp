@@ -1,13 +1,11 @@
 // SpanSink folding + exporter tests: the typed event stream must fold into
 // exactly the documented spans and causal edges, the Perfetto export must be
-// byte-stable (golden file) and valid JSON on a real Montage run, and the
-// binary .mctrace format must round-trip losslessly and reject corruption.
+// byte-stable (golden file) and valid JSON on a real Montage run.
 #include "mcsim/obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -346,106 +344,6 @@ TEST(PerfettoExport, MontageRunProducesValidJson) {
       EXPECT_GE(intervals[i].first,
                 intervals[i - 1].first + intervals[i - 1].second - 1e-3)
           << "lane " << tid << " overlaps at interval " << i;
-  }
-}
-
-// -- .mctrace binary format ---------------------------------------------------
-
-TEST(Mctrace, RoundTripsLosslessly) {
-  const TraceStore store = foldTwoTasks();
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  writeMctrace(buf, store);
-  const TraceStore reread = readMctrace(buf);
-  EXPECT_TRUE(store == reread);
-  EXPECT_EQ(reread.laneCount(), store.laneCount());
-  EXPECT_DOUBLE_EQ(reread.maxTime(), store.maxTime());
-}
-
-TEST(Mctrace, RoundTripsAMontageRun) {
-  const dag::Workflow wf = montage::buildMontageWorkflow(0.2);
-  TraceStore store;
-  SpanSink sink(store, analysis::traceTopology(wf));
-  engine::EngineConfig cfg;
-  cfg.processors = 4;
-  cfg.observer = &sink;
-  engine::simulateWorkflow(wf, cfg);
-
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  writeMctrace(buf, store);
-  EXPECT_TRUE(store == readMctrace(buf));
-}
-
-TEST(Mctrace, RejectsBadMagicAndVersion) {
-  {
-    std::stringstream buf("JUNKJUNKJUNKJUNK");
-    EXPECT_THROW(readMctrace(buf), std::runtime_error);
-  }
-  {
-    // Valid magic, absurd version.
-    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-    buf.write("MCTR", 4);
-    const std::uint32_t version = 999;
-    buf.write(reinterpret_cast<const char*>(&version), sizeof version);
-    EXPECT_THROW(readMctrace(buf), std::runtime_error);
-  }
-}
-
-TEST(Mctrace, EveryTruncationFailsCleanly) {
-  const TraceStore store = foldTwoTasks();
-  std::ostringstream full(std::ios::binary);
-  writeMctrace(full, store);
-  const std::string bytes = full.str();
-  // Chop the stream at every prefix length: each must throw, never crash or
-  // return a silently different trace.
-  for (std::size_t n = 0; n < bytes.size(); ++n) {
-    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-    buf.write(bytes.data(), static_cast<std::streamsize>(n));
-    EXPECT_THROW(readMctrace(buf), std::runtime_error) << "prefix " << n;
-  }
-}
-
-TEST(Mctrace, RejectsCorruptHeaderCountsWithoutAllocating) {
-  const TraceStore store = foldTwoTasks();
-  std::ostringstream full(std::ios::binary);
-  writeMctrace(full, store);
-  std::string bytes = full.str();
-  // Inflate the span count to ~2^60: the declared-size check must reject it
-  // before any column allocation happens.
-  std::uint64_t huge = 1ull << 60;
-  std::memcpy(bytes.data() + 8, &huge, sizeof huge);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  buf.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_THROW(readMctrace(buf), std::runtime_error);
-}
-
-TEST(Mctrace, RejectsDanglingEdgesAndBadKinds) {
-  TraceStore store;
-  const std::uint32_t a = store.beginSpan(SpanKind::Task, 0.0, 0, kNoFile,
-                                          0.0, 0);
-  store.endSpan(a, 1.0);
-  store.addEdge(a, a, EdgeKind::Child);
-  std::ostringstream full(std::ios::binary);
-  writeMctrace(full, store);
-
-  {
-    // Point the edge at a span that does not exist.  Header is 32 bytes
-    // (magic + version + 3 counts); one span's columns are
-    // kind(1)+flags(1)+begin(8)+end(8)+task(4)+file(4)+bytes(8)+lane(4).
-    std::string bytes = full.str();
-    const std::size_t edgeFromOffset = 32 + (1 + 1 + 8 + 8 + 4 + 4 + 8 + 4);
-    std::uint32_t bogus = 7;
-    std::memcpy(bytes.data() + edgeFromOffset, &bogus, sizeof bogus);
-    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-    buf.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    EXPECT_THROW(readMctrace(buf), std::runtime_error);
-  }
-  {
-    // Corrupt the span-kind byte.
-    std::string bytes = full.str();
-    bytes[32] = char(0x7f);
-    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-    buf.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    EXPECT_THROW(readMctrace(buf), std::runtime_error);
   }
 }
 

@@ -1,6 +1,6 @@
 // Test oracles: the simulation core's original reference implementations,
-// kept outside the production library so the differential tests and
-// bench/perf_core can hold the production core to them.
+// kept outside the production library so the differential tests can hold
+// the production core to them.
 //
 //   * ReferenceCalendar — the std::priority_queue + lazy-deletion
 //     tombstone-set event calendar.  Same contract and the same SimEvent*

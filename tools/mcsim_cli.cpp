@@ -64,8 +64,6 @@ common options:
   --out <path>        output file for `dax`
   --trace-out <path>  (simulate/explain) write the causal span trace as
                       Perfetto/Chrome trace-event JSON
-  --mctrace-out <p>   (simulate/explain) write the span trace in the compact
-                      binary .mctrace format
   --telemetry-dir <d> (simulate) write events.jsonl, metrics.prom and
                       report.json for the run into directory <d>
   --sample-period <s> storage sampling period for --telemetry-dir
@@ -261,8 +259,7 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
     setLogSink(telemetry->sink());
   }
 
-  // The causal span trace feeds the level table, --trace-out and
-  // --mctrace-out.
+  // The causal span trace feeds the level table and --trace-out.
   obs::TraceStore store;
   obs::SpanSink spanSink(store, analysis::traceTopology(wf));
   obs::FanOutSink observers({&spanSink});
@@ -301,22 +298,13 @@ int cmdSimulate(const dag::Workflow& wf, const ArgParser& args) {
               << ")\n";
   }
 
-  const auto traceOut = args.value("trace-out");
-  const auto mctraceOut = args.value("mctrace-out");
-  if (traceOut) {
+  if (const auto traceOut = args.value("trace-out")) {
     std::ofstream out(*traceOut);
     if (!out) throw std::runtime_error("cannot write " + *traceOut);
     const obs::TraceNames names = analysis::traceNames(wf);
     obs::writePerfettoTrace(out, store, &names);
     std::cout << "span trace written to " << *traceOut
               << " (open in ui.perfetto.dev)\n";
-  }
-  if (mctraceOut) {
-    std::ofstream out(*mctraceOut, std::ios::binary);
-    if (!out) throw std::runtime_error("cannot write " + *mctraceOut);
-    obs::writeMctrace(out, store);
-    std::cout << "binary span trace written to " << *mctraceOut << " ("
-              << store.spanCount() << " spans)\n";
   }
   return 0;
 }
@@ -354,11 +342,6 @@ int cmdExplain(const dag::Workflow& wf, const ArgParser& args) {
     if (!out) throw std::runtime_error("cannot write " + *path);
     const obs::TraceNames names = analysis::traceNames(wf);
     obs::writePerfettoTrace(out, store, &names);
-  }
-  if (const auto path = args.value("mctrace-out")) {
-    std::ofstream out(*path, std::ios::binary);
-    if (!out) throw std::runtime_error("cannot write " + *path);
-    obs::writeMctrace(out, store);
   }
 
   if (args.hasFlag("json")) {
@@ -755,8 +738,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     ArgParser args({"workflow", "procs", "mode", "bandwidth", "targets",
-                    "out", "trace-out", "mctrace-out",
-                    "telemetry-dir", "sample-period", "log-level", "mtbf",
+                    "out", "trace-out", "telemetry-dir", "sample-period", "log-level", "mtbf",
                     "retries", "retry-policy", "retry-delay", "jitter",
                     "deadline", "fault-seed", "jobs", "billing", "top",
                     "tiles", "tile-degrees", "overlap", "runtime-jitter",
